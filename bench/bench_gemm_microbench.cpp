@@ -118,7 +118,6 @@ PlanEval measure_plan_eval(bool quick) {
     const Shape in_shape{batch, images.dim(1), images.dim(2), images.dim(3)};
 
     runtime::EvalContext ctx;
-    (void)model.plan(in_shape, ctx);
     Tensor x(in_shape);
     for (std::size_t i = 0; i < batch; ++i) {
         const std::size_t src = i % images.dim(0);

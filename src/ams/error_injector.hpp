@@ -46,7 +46,6 @@ public:
                   const DeviceProfile& device = {});
 
     Tensor forward(const Tensor& input) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
     Tensor backward(const Tensor& grad_output) override { return grad_output; }
     [[nodiscard]] std::string name() const override { return "ErrorInjector"; }
 
@@ -68,12 +67,12 @@ public:
     [[nodiscard]] const DeviceProfile& device() const { return device_; }
 
     /// Adds one forward pass worth of noise to `data[0..count)` in place,
-    /// consuming one noise epoch. This is the raw hook both forward
-    /// overloads and the compiled-plan executor share: the per-tile stream
-    /// mapping depends only on element position, so the realization is
-    /// identical to the module walk for the same buffer contents. Callers
-    /// must honor the enabled() switch themselves (a disabled injector on
-    /// the module path copies without consuming an epoch).
+    /// consuming one noise epoch. This is the raw hook forward() and the
+    /// compiled-plan executor share: the per-tile stream mapping depends
+    /// only on element position, so the realization is identical on both
+    /// for the same buffer contents. Callers must honor the enabled()
+    /// switch themselves (a disabled injector's forward() passes the
+    /// input through without consuming an epoch).
     ///
     /// With an active DeviceProfile a deterministic chip pre-pass runs
     /// first: data = drift_gain * data + sigma_out * field[channel],
@@ -82,8 +81,8 @@ public:
     /// cell_offset_sigma lumps the column's per-cell offsets, mirroring a
     /// weight-stationary crossbar where every spatial position of one
     /// output channel reuses the same physical column. `batch`/`channels`
-    /// describe the buffer's leading dims (the forward overloads derive
-    /// them from the tensor shape; rank-1 buffers use 1/1). The pre-pass
+    /// describe the buffer's leading dims (forward() derives them from
+    /// the tensor shape; rank-1 buffers use 1/1). The pre-pass
     /// is position-keyed and RNG-state-free, so it preserves the
     /// thread-count invariance and module-vs-plan identity. Backward
     /// stays the identity (straight-through estimation): retraining sees
@@ -94,7 +93,7 @@ public:
 
 private:
     /// Adds one forward pass worth of noise to `out` in place, consuming
-    /// one noise epoch. Shared by both forward overloads.
+    /// one noise epoch, with the leading dims taken from its shape.
     void inject(Tensor& out);
 
     /// The deterministic chip pre-pass described at inject_inplace().

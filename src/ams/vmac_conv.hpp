@@ -22,43 +22,28 @@
 
 #include "ams/vmac_backend.hpp"
 #include "nn/module.hpp"
+#include "runtime/eval_context.hpp"
 #include "runtime/rng_stream.hpp"
 #include "tensor/im2col.hpp"
 
 namespace ams::vmac {
-
-/// Fidelity of the per-VMAC computation (legacy selector; the two modes
-/// are now thin aliases for the corresponding VmacBackend kinds).
-enum class VmacConvMode {
-    /// Full behavioural simulation: operand codecs + ADC per chunk.
-    kBitExact,
-    /// Exact digital partial sums + one uniform(-LSB/2, LSB/2) error per
-    /// chunk — per-VMAC granularity without the operand re-quantization.
-    kPerVmacNoise,
-};
 
 /// Evaluation-only convolution through explicit VMAC hardware.
 class VmacConv2d : public nn::Module {
 public:
     /// `weight` layout {out_channels, in_channels, k, k}; values are used
     /// as-is (pass DoReFa-quantized weights for a faithful pipeline).
-    /// `rng` seeds the per-tile noise streams: every (image, out-channel)
-    /// tile of every forward pass draws from its own derived generator,
-    /// so outputs are bit-identical at any AMSNET_THREADS.
-    /// Throws std::invalid_argument on shape/config mismatch.
-    VmacConv2d(Tensor weight, std::size_t stride, std::size_t padding,
-               const VmacConfig& config, const AnalogOptions& analog, VmacConvMode mode,
-               Rng rng);
-
-    /// Backend-generic constructor: routes every VMAC-sized chunk through
-    /// the datapath selected by `backend` (see ams/vmac_backend.hpp).
+    /// Every VMAC-sized chunk is routed through the datapath selected by
+    /// `backend` (see ams/vmac_backend.hpp). `rng` seeds the per-tile
+    /// noise streams: every (image, out-channel) tile of every forward
+    /// pass draws from its own derived generator, so outputs are
+    /// bit-identical at any AMSNET_THREADS. Throws std::invalid_argument
+    /// on shape/config mismatch.
     VmacConv2d(Tensor weight, std::size_t stride, std::size_t padding,
                const VmacConfig& config, const AnalogOptions& analog,
                const BackendOptions& backend, Rng rng);
 
     Tensor forward(const Tensor& input) override;
-    Shape plan(const Shape& in, runtime::EvalContext& ctx) override;
-    Tensor forward(const Tensor& input, runtime::EvalContext& ctx) override;
 
     /// Evaluation-only: backward is not implemented (the paper's proposal
     /// applies this model at evaluation time). Throws std::logic_error
@@ -75,12 +60,11 @@ public:
     /// Output shape for a given input shape (validates like forward).
     [[nodiscard]] Shape output_shape(const Shape& in) const;
 
-    /// Planned-execution hook: runs one forward pass over `input` (laid
-    /// out as `in_shape`) into the caller-provided `out` buffer, reserving
-    /// its scratch from `ctx` exactly like forward(input, ctx). Consumes
-    /// one noise epoch; arithmetic, tile/stream mapping, and scratch keys
-    /// are identical to the module path, so a compiled plan sharing this
-    /// module's EvalContext stays bit-identical to the module walk.
+    /// The compiled plan's eval entry point: runs one forward pass over
+    /// `input` (laid out as `in_shape`) into the caller-provided `out`
+    /// buffer, with its column and staging scratch reserved from `ctx`.
+    /// Consumes one noise epoch; arithmetic and tile/stream mapping are
+    /// those of forward(input), so plan logits stay bit-identical to it.
     void forward_planned(const float* input, const Shape& in_shape, float* out,
                          runtime::EvalContext& ctx);
 
@@ -91,7 +75,7 @@ private:
     /// Runs tiles [t_begin, t_end) of one forward pass: reads the lowered
     /// `columns`, writes `out`. `w_chunk`/`x_chunk` are caller-provided
     /// nmult-double staging buffers (per-chunk scratch), so the identical
-    /// arithmetic serves both the allocating and the arena path. Clones
+    /// arithmetic serves both forward() and forward_planned(). Clones
     /// the backend once per call: per-output state stays worker-local.
     void compute_tiles(std::size_t t_begin, std::size_t t_end,
                        const runtime::RngStream& pass_streams, const float* columns,

@@ -157,8 +157,6 @@ public:
     // trained state (dataset, architecture, quant bits, backend tag,
     // frozen groups, full training schedule) plus the parent phase's
     // hash, so any upstream config change re-keys the whole lineage.
-    // The matching legacy string key is attached for in-place migration
-    // of pre-content-hash cache directories.
     [[nodiscard]] train::CacheKey fp32_cache_key() const;
     [[nodiscard]] train::CacheKey quantized_cache_key(std::size_t bits_w,
                                                       std::size_t bits_x) const;

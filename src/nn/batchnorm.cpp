@@ -95,27 +95,6 @@ void BatchNorm2d::normalize_eval(const float* in, float* out, std::size_t batch,
     }
 }
 
-Shape BatchNorm2d::plan(const Shape& in, runtime::EvalContext& ctx) {
-    (void)ctx;  // elementwise over channels: no scratch
-    if (in.rank() != 4 || in.dim(1) != channels_) {
-        throw std::invalid_argument("BatchNorm2d::plan: expected {N, " +
-                                    std::to_string(channels_) + ", H, W}, got " + in.str());
-    }
-    return in;
-}
-
-Tensor BatchNorm2d::forward(const Tensor& input, runtime::EvalContext& ctx) {
-    if (training()) return forward(input);  // batch stats + caches for backward
-    if (input.rank() != 4 || input.dim(1) != channels_) {
-        throw std::invalid_argument("BatchNorm2d::forward: expected {N, " +
-                                    std::to_string(channels_) + ", H, W}, got " +
-                                    input.shape().str());
-    }
-    Tensor output = arena_output(ctx, input.shape());
-    eval_normalize(input, output.data());
-    return output;
-}
-
 Tensor BatchNorm2d::backward(const Tensor& grad_output) {
     if (grad_output.shape() != cached_shape_) {
         throw std::invalid_argument("BatchNorm2d::backward: grad shape " +

@@ -1,9 +1,9 @@
 // Shared eval-mode convolution executor: im2col + packed GEMM over
-// per-chunk EvalContext scratch. One implementation serves
-// Conv2d::forward(ctx), the folded-conv path (models/fold.cpp), and the
-// compiled-plan executor (src/compile) — callers that pass the same
-// scratch owner share buffers and, by construction, bit-identical
-// numerics with the module walk.
+// per-chunk EvalContext scratch. One implementation serves the
+// folded-conv path (models/fold.cpp) and the compiled-plan executor
+// (src/compile). It runs the same per-image lowering and GEMM as the
+// eval-mode Conv2d::forward(input), only with its pack buffers in
+// EvalContext scratch, so the two are bit-identical.
 #pragma once
 
 #include <cstddef>

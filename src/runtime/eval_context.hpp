@@ -1,22 +1,22 @@
-// EvalContext: the per-worker execution context for planned inference.
+// EvalContext: the per-worker execution context for compiled-plan
+// inference (compile::ExecutionPlan::run).
 //
 // One EvalContext is owned by each evaluation worker (serial eval owns a
 // single one). It carries everything a forward pass needs besides the
-// model itself:
+// model and its plan:
 //
 //   * an *activations* arena — rewound between images/batches, holds the
-//     layer outputs of the pass in flight;
-//   * a *scratch* arena — never rewound, holds per-layer workspaces
-//     (im2col columns, quantized-weight buffers) that are reserved once
-//     during planning/warm-up and reused on every subsequent pass;
-//   * a scratch registry keyed by (module, slot) so a module can find its
-//     workspace again without storing raw pointers in itself;
+//     input batch and the plan's activation block for the pass in flight;
+//   * a *scratch* arena — never rewound, holds per-step workspaces
+//     (im2col columns, GEMM pack panels, VMAC staging) that are reserved
+//     on the first pass and reused on every subsequent one;
+//   * a scratch registry keyed by (owner, slot) so a step can find its
+//     workspace again without storing raw pointers;
 //   * the thread-pool handle and an RngStream root, so the context fully
 //     describes "where and how" a pass executes.
 //
 // The runtime layer knows nothing about Tensor; it deals in raw float
-// buffers. nn::arena_output() (nn/module.hpp) wraps an activation
-// allocation into a borrowed Tensor.
+// buffers, which callers wrap with Tensor::borrowed.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,6 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -23,25 +22,12 @@ std::atomic<std::uint64_t> g_gauges[kGaugeCount]{};
 
 namespace {
 
-std::atomic<int> g_level{-1};  // -1: not yet resolved from the environment
+std::atomic<int> g_level{static_cast<int>(Level::kOff)};
 
 void apply(Level level) {
     detail::g_counters_on.store(level != Level::kOff, std::memory_order_relaxed);
     detail::g_spans_on.store(level == Level::kFull, std::memory_order_relaxed);
     g_level.store(static_cast<int>(level), std::memory_order_release);
-}
-
-/// Registers the AMSNET_METRICS_DUMP atexit exporter exactly once. Done
-/// from level() — the first metrics touch of any instrumented process —
-/// so benches and the server get the exit snapshot without calling
-/// anything themselves.
-void register_exit_dump() {
-    static std::once_flag once;
-    std::call_once(once, [] {
-        if (std::getenv("AMSNET_METRICS_DUMP") != nullptr) {
-            std::atexit([] { (void)dump_snapshot_if_configured(); });
-        }
-    });
 }
 
 }  // namespace
@@ -63,13 +49,27 @@ const char* level_name(Level level) {
     return "off";
 }
 
+namespace {
+
+/// Resolves AMSNET_TRACE once, during static initialization of every
+/// instrumented process (each counter call references this translation
+/// unit), so counters record from the first kernel on even when nothing
+/// ever asks for level(). Also registers the AMSNET_METRICS_DUMP exit
+/// exporter, so benches and the server get the exit snapshot without
+/// calling anything themselves. The exporter touches only the counter
+/// atomics and the environment, both valid for the whole exit sequence.
+[[maybe_unused]] const bool g_resolved_from_env = [] {
+    apply(parse_level(std::getenv("AMSNET_TRACE")));
+    if (std::getenv("AMSNET_METRICS_DUMP") != nullptr) {
+        std::atexit([] { (void)dump_snapshot_if_configured(); });
+    }
+    return true;
+}();
+
+}  // namespace
+
 Level level() {
-    const int cached = g_level.load(std::memory_order_acquire);
-    if (cached >= 0) return static_cast<Level>(cached);
-    register_exit_dump();
-    const Level env = parse_level(std::getenv("AMSNET_TRACE"));
-    apply(env);
-    return env;
+    return static_cast<Level>(g_level.load(std::memory_order_acquire));
 }
 
 void set_level(Level level) {
@@ -112,7 +112,6 @@ const char* counter_name(Counter counter) {
         case Counter::kCheckpointMemoHits: return "checkpoint_memo_hits";
         case Counter::kCheckpointMisses: return "checkpoint_misses";
         case Counter::kCheckpointCorruptRecovered: return "checkpoint_corrupt_recovered";
-        case Counter::kCheckpointLegacyMigrations: return "checkpoint_legacy_migrations";
         case Counter::kEvalPasses: return "eval_passes";
         case Counter::kEvalBatches: return "eval_batches";
         case Counter::kServeRequests: return "serve_requests";

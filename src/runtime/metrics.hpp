@@ -44,8 +44,8 @@ enum class Level : int {
 /// parse_level, used by benches recording their run environment.
 [[nodiscard]] const char* level_name(Level level);
 
-/// Current level. First call reads AMSNET_TRACE; later calls are a
-/// relaxed atomic load.
+/// Current level: AMSNET_TRACE as resolved once at static
+/// initialization, unless set_level overrode it. An atomic load.
 [[nodiscard]] Level level();
 
 /// Overrides the level (tests, benches). Does not clear accumulated
@@ -87,7 +87,6 @@ enum class Counter : int {
     kCheckpointMemoHits,  ///< states served from the in-process memo
     kCheckpointMisses,    ///< states produced (trained) on demand
     kCheckpointCorruptRecovered,   ///< torn/corrupt entries recomputed, not propagated
-    kCheckpointLegacyMigrations,   ///< legacy-named entries adopted under content hashes
 
     // Evaluation protocol (train/evaluate.cpp)
     kEvalPasses,          ///< full validation passes
@@ -103,8 +102,8 @@ enum class Counter : int {
     kPlanCompiles,                 ///< ExecutionPlans built
     kPlanRuns,                     ///< compiled-plan forward passes
     kPlanLayersFused,              ///< elementwise ops absorbed into step tails
-    kPlanIntermediatesEliminated,  ///< module-walk tensors the plan never materializes
-    kPlanArenaBytesSaved,          ///< module-walk arena bytes minus plan block bytes
+    kPlanIntermediatesEliminated,  ///< per-layer tensors the plan never materializes
+    kPlanArenaBytesSaved,          ///< per-layer output bytes minus plan block bytes
 
     // Sweep orchestration (sweep/coordinator.cpp, sweep/worker.cpp)
     kSweepPointsCompleted,  ///< grid points computed and journaled by this process

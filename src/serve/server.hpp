@@ -6,9 +6,9 @@
 // requests arrive asynchronously, get coalesced into batches under a
 // latency budget, and are executed by a pool of model *instances* — each
 // an eval-only replica of one primary model (models::make_eval_replica)
-// with its own arena-planned EvalContext, so the steady-state model path
-// stays allocation-free and noisy AMS backends stay statistically
-// independent across instances.
+// with its own compiled ExecutionPlan and EvalContext, so the
+// steady-state model path stays allocation-free and noisy AMS backends
+// stay statistically independent across instances.
 //
 // Architecture (DESIGN.md §12):
 //
@@ -35,7 +35,8 @@
 // noise, e.g. the bit_exact datapath) produces logits *bit-identical* to
 // train::evaluate on the same images at any instance count, batch size,
 // and request interleaving — serving shares the evaluate batch->logits
-// path (train::forward_batch) and per-image results are independent of
+// path (train::assemble_batch + a compiled ExecutionPlan, the same plan
+// evaluate_* builds) and per-image results are independent of
 // the batch they ride in. Stochastic configurations are *not* batch- or
 // schedule-invariant (noise epochs advance per forward); instead each
 // instance owns an independent, per-instance-seeded noise stream.
@@ -60,14 +61,13 @@
 
 namespace ams::serve {
 
-/// Whether instances execute batches through a compiled ExecutionPlan
-/// (src/compile) instead of the module walk. The two paths are
-/// bit-identical (the compiler's determinism contract), so this is purely
-/// a dispatch/throughput knob.
+/// How instances execute batches. Every instance runs a compiled
+/// ExecutionPlan (src/compile), so kOn is the only value. The enum and
+/// ServerOptions::compile_mode remain only because the benchmark's
+/// inference workload (amsbench/src/inference.cpp) assigns the field;
+/// they can go once that file changes with the benchmark.
 enum class CompileMode {
-    kAuto,  ///< compile when AMSNET_COMPILE=on; fall back silently on CompileError
-    kOn,    ///< always compile; construction throws CompileError if unsupported
-    kOff,   ///< always run the module walk
+    kOn,  ///< always compile; construction throws CompileError if unsupported
 };
 
 /// Server knobs. Defaults serve a latency-lenient batch-throughput mix.
@@ -78,7 +78,7 @@ struct ServerOptions {
                                         ///< 0 = never wait (batch whatever
                                         ///< is already queued)
     std::uint64_t seed = 0x5EBFE5EBFE5ULL;  ///< EvalContext seed base
-    CompileMode compile_mode = CompileMode::kAuto;  ///< plan-compiled dispatch
+    CompileMode compile_mode = CompileMode::kOn;  ///< the only value (see CompileMode)
 
     /// Throws std::invalid_argument on degenerate values.
     void validate() const;
@@ -131,10 +131,13 @@ struct ServerStats {
 };
 
 /// Builds the model instance a worker will own. Called once per instance
-/// at server construction; must return a *planned-ready* module in eval
-/// mode (the server plans it for [max_batch, CHW] and owns it for the
-/// server's lifetime). Instances must be independent: concurrent
-/// forwards on distinct returned modules must not share mutable state.
+/// at server construction; the server switches the module to eval mode,
+/// compiles it for [max_batch, CHW] batches and owns it for the server's
+/// lifetime. The module must be a graph the compiler can lower
+/// (compile::compile): construction throws compile::CompileError
+/// otherwise, and there is no fallback path. Instances must be
+/// independent: concurrent forwards on distinct returned modules must
+/// not share mutable state.
 using InstanceFactory = std::function<std::unique_ptr<nn::Module>(std::size_t instance)>;
 
 /// The in-process inference server.
@@ -147,9 +150,9 @@ public:
     InferenceServer(models::ResNet& primary, const Shape& image_shape,
                     const ServerOptions& options = {});
 
-    /// Generic form: serves whatever `factory` builds (any nn::Module
-    /// with a planned forward path — e.g. a Sequential wrapping a
-    /// VmacConv2d backend datapath).
+    /// Generic form: serves whatever `factory` builds (any nn::Module the
+    /// compiler can lower — e.g. a Sequential wrapping a VmacConv2d
+    /// backend datapath). Throws compile::CompileError otherwise.
     InferenceServer(InstanceFactory factory, const Shape& image_shape,
                     const ServerOptions& options = {});
 

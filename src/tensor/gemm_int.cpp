@@ -57,18 +57,23 @@ std::size_t gemm_row_grain(std::size_t m, std::size_t k, std::size_t n) {
 
 // Scalar reference arms. Row-parallel slices reproduce the serial
 // result exactly: integer accumulation is associative, so unlike the
-// fp32 kernels there is nothing chunking could perturb.
+// fp32 kernels there is nothing chunking could perturb. Each product
+// fits int32; the sums accumulate in uint32, so a k beyond
+// int_accumulator_safe wraps modulo 2^32 (defined behaviour, and the
+// same bits as the SIMD arms' paddd) instead of overflowing a signed int.
 void gemm_s8u8_rows_scalar(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c,
                            std::size_t row_begin, std::size_t row_end, std::size_t k,
                            std::size_t n) {
     for (std::size_t i = row_begin; i < row_end; ++i) {
-        std::int32_t* crow = c + i * n;
-        std::memset(crow, 0, n * sizeof(std::int32_t));
+        auto* crow = reinterpret_cast<std::uint32_t*>(c + i * n);
+        std::memset(crow, 0, n * sizeof(std::uint32_t));
         for (std::size_t kk = 0; kk < k; ++kk) {
             const std::int32_t aik = a[i * k + kk];
             if (aik == 0) continue;
             const std::uint8_t* brow = b + kk * n;
-            for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+            for (std::size_t j = 0; j < n; ++j) {
+                crow[j] += static_cast<std::uint32_t>(aik * brow[j]);
+            }
         }
     }
 }
@@ -77,13 +82,15 @@ void gemm_s16_rows_scalar(const std::int16_t* a, const std::int16_t* b, std::int
                           std::size_t row_begin, std::size_t row_end, std::size_t k,
                           std::size_t n) {
     for (std::size_t i = row_begin; i < row_end; ++i) {
-        std::int32_t* crow = c + i * n;
-        std::memset(crow, 0, n * sizeof(std::int32_t));
+        auto* crow = reinterpret_cast<std::uint32_t*>(c + i * n);
+        std::memset(crow, 0, n * sizeof(std::uint32_t));
         for (std::size_t kk = 0; kk < k; ++kk) {
             const std::int32_t aik = a[i * k + kk];
             if (aik == 0) continue;
             const std::int16_t* brow = b + kk * n;
-            for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+            for (std::size_t j = 0; j < n; ++j) {
+                crow[j] += static_cast<std::uint32_t>(aik * brow[j]);
+            }
         }
     }
 }

@@ -165,20 +165,6 @@ TensorMap cached_state(const std::string& cache_dir, const CacheKey& key,
             runtime::metrics::add(runtime::metrics::Counter::kCheckpointDiskHits);
             return state;
         }
-        // Migration shim: a cache directory written before content
-        // addressing holds this entry under its legacy name. Adopt it
-        // under the content-hash name (the legacy file stays, so mixed
-        // old/new builds keep working against one directory).
-        if (!key.legacy_key().empty()) {
-            const fs::path legacy_path =
-                fs::path(cache_dir) / (sanitize_cache_key(key.legacy_key()) + ".amsckpt");
-            if (try_load(legacy_path, state)) {
-                save_state_atomic(path.string(), state);
-                runtime::metrics::add(runtime::metrics::Counter::kCheckpointLegacyMigrations);
-                runtime::metrics::add(runtime::metrics::Counter::kCheckpointDiskHits);
-                return state;
-            }
-        }
     } else {
         std::lock_guard<std::mutex> memo_lock(g_memo_mu);
         auto it = state_memo().find(path.string());

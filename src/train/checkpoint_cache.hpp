@@ -10,11 +10,11 @@
 //    serialization of every input that affects the state — model config,
 //    quant bits, backend options, seeds, training schedule, and the
 //    parent phase's hash. Distinct configs can never alias one file.
-//  * legacy strings: the historical ad-hoc concatenation
-//    ("mini_c10_..._enob4.5_nm8"). Kept for tests and one-off callers;
-//    CacheKeys carry their legacy key so existing cache directories are
-//    migrated in place on first lookup (load old file, store under the
-//    content-hash name; the legacy file is left untouched).
+//  * plain strings: the historical ad-hoc concatenation
+//    ("mini_c10_..._enob4.5_nm8"). Kept for tests and one-off callers.
+//    Entries a directory holds under such names are not adopted by
+//    content-addressed lookups; they are recomputed (the directory is
+//    only a cache).
 //
 // Durability contract: every write goes to a per-process temporary file
 // in the cache directory and is published with an atomic rename, so
@@ -43,12 +43,10 @@ namespace ams::train {
 [[nodiscard]] TensorMap cached_state(const std::string& cache_dir, const std::string& key,
                                      const std::function<TensorMap()>& produce);
 
-/// Content-addressed variant. Lookup order: the content-hash file; then
-/// (when `key.legacy_key()` is set) the legacy file, which on a hit is
-/// re-persisted under the content-hash name (migration shim); then
-/// `produce`. AMSNET_NO_CACHE=1 bypasses both disk reads but keeps the
+/// Content-addressed variant. Lookup order: the content-hash file, then
+/// `produce`. AMSNET_NO_CACHE=1 bypasses the disk read but keeps the
 /// in-process memo, which is keyed by the content hash — so unlike the
-/// legacy scheme, a config change always re-produces.
+/// string scheme, a config change always re-produces.
 [[nodiscard]] TensorMap cached_state(const std::string& cache_dir, const CacheKey& key,
                                      const std::function<TensorMap()>& produce);
 

@@ -14,9 +14,10 @@ namespace ams::train {
 
 // ----- the shared single-batch forward path -----
 //
-// Every consumer that pushes a batch of images through a planned model —
-// the offline evaluation protocol below and the serve/ dynamic batcher —
-// goes through the same three primitives, so served results are
+// Every consumer that pushes a batch of images through a model in eval
+// mode — the offline evaluation protocol below and the serve/ dynamic
+// batcher — gathers the batch with one of these primitives and runs it
+// through a compiled compile::ExecutionPlan, so served results are
 // bit-identical to offline evaluation by construction (for deterministic
 // configurations; tests/serve_test.cpp enforces it).
 
@@ -34,14 +35,6 @@ namespace ams::train {
 [[nodiscard]] Tensor assemble_batch(const float* const* images, std::size_t count,
                                     const Shape& chw, runtime::EvalContext& ctx);
 
-/// One planned eval-mode forward of an assembled batch: the single
-/// batch -> logits entry point shared by evaluate_* and the inference
-/// server. The caller owns checkpoint/rewind discipline around it; the
-/// model must already be in eval mode and planned for (at least) this
-/// batch shape.
-[[nodiscard]] Tensor forward_batch(nn::Module& model, const Tensor& batch,
-                                   runtime::EvalContext& ctx);
-
 /// Aggregated accuracy over repeated validation passes.
 struct EvalResult {
     double mean = 0.0;          ///< sample mean of per-pass top-1 accuracy
@@ -54,12 +47,16 @@ struct EvalResult {
 /// previous training flag afterwards. Throws std::invalid_argument on
 /// empty input or passes == 0.
 ///
-/// Inference runs on the planned, arena-backed path: activations live in
-/// `ctx`'s arena and are rewound after each batch, so steady-state
-/// batches allocate nothing. Pass a context to reuse its warm arenas
-/// across calls (e.g. one context per sweep worker); with ctx == nullptr
-/// a context local to the call is used. Results are bit-identical either
-/// way, and identical to the pre-arena allocating path.
+/// Inference runs on one compiled ExecutionPlan per call, built for
+/// batches of min(batch_size, n) images; the tail batch runs on the same
+/// plan. Activations live in `ctx`'s arena and are rewound after each
+/// batch, so steady-state batches allocate nothing. Pass a context to
+/// reuse its warm arenas across calls (e.g. one context per sweep
+/// worker); with ctx == nullptr a context local to the call is used.
+/// Results are bit-identical either way, and identical to top-1 over the
+/// logits of the allocating model.forward(x) under the default numeric
+/// mode (AMSNET_GEMM_INT selects the plan's integer GEMM steps). Throws
+/// compile::CompileError if the compiler rejects the model.
 [[nodiscard]] EvalResult evaluate_top1(models::ResNet& model, const Tensor& images,
                                        const std::vector<std::size_t>& labels,
                                        std::size_t batch_size = 64, std::size_t passes = 1,
@@ -74,7 +71,8 @@ struct EvalResult {
 /// Fig. 6 instrumentation: runs one evaluation pass with per-conv-layer
 /// activation recording enabled and returns the mean post-injection
 /// activation of every conv layer (stem first), evaluated across the
-/// whole set.
+/// whole set. Runs on a compiled plan like evaluate_top1; the plan's
+/// record tail accumulates the statistics.
 [[nodiscard]] std::vector<double> record_activation_means(
     models::ResNet& model, const Tensor& images, std::size_t batch_size = 64,
     runtime::EvalContext* ctx = nullptr);

@@ -1,6 +1,6 @@
-// The zero-allocation acceptance test: after planning and one warm-up
-// pass, a steady-state eval forward of the full quantized+AMS model must
-// perform ZERO heap allocations. Global operator new is overridden in
+// The zero-allocation acceptance test: after compiling and a warm-up
+// pass, a steady-state ExecutionPlan::run of the full quantized+AMS model
+// (the eval path) must perform ZERO heap allocations. Global operator new is overridden in
 // this binary to count every allocation, so any regression — a stray
 // Tensor copy, a std::function capture, a vector resize on the hot path —
 // fails this test by name.
@@ -11,6 +11,7 @@
 #include <new>
 #include <vector>
 
+#include "compile/plan.hpp"
 #include "models/resnet.hpp"
 #include "runtime/eval_context.hpp"
 #include "runtime/thread_pool.hpp"
@@ -93,31 +94,31 @@ TEST(AllocCountTest, SteadyStateEvalForwardIsAllocationFree) {
     x.fill_uniform(rng, -1.0f, 1.0f);
 
     runtime::EvalContext ctx;
-    (void)model.plan(x.shape(), ctx);
+    compile::ExecutionPlan plan = compile::compile(model, x.shape());
     // Warm-up: grows the arenas to their steady footprint and populates
     // the scratch registry.
     for (int i = 0; i < 2; ++i) {
         const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
-        (void)model.forward(x, ctx);
+        (void)plan.run(x, ctx);
         ctx.rewind(cp);
     }
 
     const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
     for (int i = 0; i < 3; ++i) {
         const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
-        Tensor out = model.forward(x, ctx);
+        Tensor out = plan.run(x, ctx);
         ctx.rewind(cp);
     }
     const std::size_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
     runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
 
-    EXPECT_EQ(allocs, 0u) << "steady-state ctx forward must not touch the heap";
+    EXPECT_EQ(allocs, 0u) << "steady-state ExecutionPlan::run must not touch the heap";
 }
 
 TEST(AllocCountTest, SteadyStateGemmAtIsAllocationFree) {
     // gemm_at used to build its transpose scratch in a per-call
     // std::vector; it now draws from reusable pack buffers (thread-local
-    // here, EvalContext scratch on the planned path), so repeated calls —
+    // here, EvalContext scratch in the compiled plan), so repeated calls —
     // e.g. the backward pass, once per image — must not touch the heap.
     runtime::ThreadPool::set_global_threads(1);
     const std::size_t m = 33, k = 17, n = 65;
@@ -139,8 +140,9 @@ TEST(AllocCountTest, SteadyStateGemmAtIsAllocationFree) {
 
 TEST(AllocCountTest, LegacyForwardStillAllocates) {
     // Sanity check that the counter actually observes the model: the
-    // allocating path must register heap traffic, otherwise a broken
-    // override would make the zero-allocation test pass vacuously.
+    // allocating forward(x) must register heap traffic, otherwise a broken
+    // operator-new override would make the zero-allocation test pass
+    // vacuously.
     runtime::ThreadPool::set_global_threads(1);
     models::ResNet model(models::tiny_resnet_config(quant_ams_common()));
     model.set_training(false);

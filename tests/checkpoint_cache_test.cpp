@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "temp_path.hpp"
+
 namespace ams::train {
 namespace {
 
@@ -13,7 +15,7 @@ namespace fs = std::filesystem;
 class CheckpointCacheTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = (fs::temp_directory_path() / "amsnet_cache_test").string();
+        dir_ = testing_support::unique_temp_path("amsnet_cache_test").string();
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }
@@ -99,10 +101,9 @@ TEST_F(CheckpointCacheTest, NoCacheFlagBypassesReads) {
 
 // ----- content-addressed keys -----
 
-CacheKey content_key(std::size_t retrain_epochs, const std::string& legacy = "") {
+CacheKey content_key(std::size_t retrain_epochs) {
     CacheKey key;
     key.label("ckpt_test");
-    if (!legacy.empty()) key.legacy(legacy);
     key.add("schema", "ckpt-test-v1");
     key.add("bits_w", std::uint64_t{8});
     key.add("retrain.epochs", std::uint64_t{retrain_epochs});
@@ -180,26 +181,6 @@ TEST_F(CheckpointCacheTest, ConfigPerturbationDefeatsNoCacheMemo) {
     unsetenv("AMSNET_NO_CACHE");
     EXPECT_EQ(calls, 2);  // perturbed config misses the memo
     EXPECT_FLOAT_EQ(fresh.at("w")[0], 9.0f);
-}
-
-TEST_F(CheckpointCacheTest, LegacyEntryIsMigratedInPlace) {
-    // Seed the directory the pre-content-hash way, then look the state
-    // up by content key: it must be served from the legacy file and
-    // adopted under the content-hash name without calling produce.
-    const std::string legacy = "mini_c10_legacy_key";
-    (void)cached_state(dir_, legacy, [] { return make_state(7.0f); });
-
-    const CacheKey key = content_key(2, legacy);
-    int calls = 0;
-    const TensorMap migrated = cached_state(dir_, key, [&calls] {
-        ++calls;
-        return make_state(0.0f);
-    });
-    EXPECT_EQ(calls, 0);
-    EXPECT_FLOAT_EQ(migrated.at("w")[0], 7.0f);
-    EXPECT_TRUE(fs::exists(fs::path(dir_) / key.filename()));
-    // The legacy file stays for older builds sharing the directory.
-    EXPECT_TRUE(fs::exists(fs::path(dir_) / (sanitize_cache_key(legacy) + ".amsckpt")));
 }
 
 TEST_F(CheckpointCacheTest, AtomicPublishLeavesNoTempFiles) {

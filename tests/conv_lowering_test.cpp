@@ -1,7 +1,7 @@
 // ConvLowering geometry edge cases, checked identically across every
-// consumer of the shared lowering: Conv2d (legacy + arena paths), the
-// quantized wrapper, and VmacConv2d. Also the satellite regression for
-// Conv2d::backward's cached-columns reuse.
+// consumer of the shared lowering: Conv2d (allocating forward and the
+// compiled plan's conv step), the quantized wrapper, and VmacConv2d. Also
+// the regression for Conv2d::backward's cached-columns reuse.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ams/vmac_conv.hpp"
+#include "compile/plan.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/gradcheck.hpp"
 #include "quant/quant_modules.hpp"
@@ -32,6 +33,16 @@ const Geometry kEdgeGeometries[] = {
     {"padding_ge_kernel", 2, 3, 3, 1, 3, 5, 5},
     {"one_by_one_strided", 3, 4, 1, 2, 0, 5, 7},
 };
+
+/// Runs `layer` as the root of a one-layer compiled plan — the eval
+/// path — and returns an owned copy of the output.
+Tensor run_one_layer_plan(nn::Module& layer, const Tensor& x) {
+    layer.set_training(false);
+    runtime::EvalContext ctx;
+    compile::ExecutionPlan plan = compile::compile(layer, x.shape());
+    const Tensor out = plan.run(x, ctx);
+    return Tensor(out);  // deep copy out of the arena before ctx dies
+}
 
 ConvGeometry to_conv_geometry(const Geometry& g) {
     return ConvGeometry{g.in_ch,   g.in_h,   g.in_w,    g.kernel, g.kernel,
@@ -121,19 +132,17 @@ TEST(ConvLoweringTest, Conv2dMatchesNaiveReferenceOnEdgeGeometries) {
         Tensor x(Shape{3, g.in_ch, g.in_h, g.in_w});
         x.fill_uniform(rng, -1.0f, 1.0f);
 
-        const Tensor legacy = conv.forward(x);
+        const Tensor allocating = conv.forward(x);
         const Tensor reference = naive_conv(x, conv.weight().value, g.stride, g.padding);
-        ASSERT_EQ(legacy.shape(), reference.shape()) << g.label;
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            EXPECT_NEAR(legacy[i], reference[i], 1e-4f) << g.label << " @" << i;
+        ASSERT_EQ(allocating.shape(), reference.shape()) << g.label;
+        for (std::size_t i = 0; i < allocating.size(); ++i) {
+            EXPECT_NEAR(allocating[i], reference[i], 1e-4f) << g.label << " @" << i;
         }
 
-        // The arena path must agree bit-for-bit with the legacy path.
-        runtime::EvalContext ctx;
-        const Shape planned = conv.plan(x.shape(), ctx);
-        EXPECT_EQ(planned, legacy.shape()) << g.label;
-        const Tensor arena = conv.forward(x, ctx);
-        expect_same_bits(legacy, arena, g.label);
+        // The compiled conv step must agree bit-for-bit with forward(x).
+        const Tensor planned = run_one_layer_plan(conv, x);
+        EXPECT_EQ(planned.shape(), allocating.shape()) << g.label;
+        expect_same_bits(allocating, planned, g.label);
     }
 }
 
@@ -151,12 +160,9 @@ TEST(ConvLoweringTest, QuantConvFloatBitsMatchesPlainConvOnEdgeGeometries) {
         Tensor x(Shape{2, g.in_ch, g.in_h, g.in_w});
         x.fill_uniform(rng_x, -1.0f, 1.0f);
 
-        runtime::EvalContext ctx_a, ctx_b;
-        (void)plain.plan(x.shape(), ctx_a);
-        (void)qconv.plan(x.shape(), ctx_b);
-        expect_same_bits(plain.forward(x, ctx_a), qconv.forward(x, ctx_b), g.label);
-        // And the quantizing wrapper agrees with its own legacy path.
-        expect_same_bits(qconv.forward(x), qconv.forward(x, ctx_b), g.label);
+        expect_same_bits(run_one_layer_plan(plain, x), run_one_layer_plan(qconv, x), g.label);
+        // And the quantizing wrapper's plan agrees with its own forward(x).
+        expect_same_bits(qconv.forward(x), run_one_layer_plan(qconv, x), g.label);
     }
 }
 
@@ -175,16 +181,15 @@ TEST(ConvLoweringTest, VmacConvArenaMatchesLegacyOnEdgeGeometries) {
 
         // Two identically seeded instances: both consume noise epoch 0,
         // so any output difference can only come from the lowering/buffer
-        // plumbing, which is exactly what this test pins down.
-        vmac::VmacConv2d legacy(w, g.stride, g.padding, cfg, {},
-                                vmac::VmacConvMode::kBitExact, Rng(22));
+        // plumbing of forward_planned, which is exactly what this test
+        // pins down.
+        vmac::VmacConv2d allocating(w, g.stride, g.padding, cfg, {},
+                                    vmac::BackendOptions{vmac::BackendKind::kBitExact}, Rng(22));
         vmac::VmacConv2d planned(w, g.stride, g.padding, cfg, {},
-                                 vmac::VmacConvMode::kBitExact, Rng(22));
-        runtime::EvalContext ctx;
-        const Shape out_shape = planned.plan(x.shape(), ctx);
-        const Tensor a = legacy.forward(x);
-        const Tensor b = planned.forward(x, ctx);
-        EXPECT_EQ(out_shape, a.shape()) << g.label;
+                                 vmac::BackendOptions{vmac::BackendKind::kBitExact}, Rng(22));
+        const Tensor a = allocating.forward(x);
+        const Tensor b = run_one_layer_plan(planned, x);
+        EXPECT_EQ(b.shape(), a.shape()) << g.label;
         expect_same_bits(a, b, g.label);
     }
 }

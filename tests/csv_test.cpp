@@ -1,4 +1,5 @@
 #include "core/csv.hpp"
+#include "temp_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,7 @@ std::string read_file(const std::string& path) {
 class CsvTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = (fs::temp_directory_path() / "amsnet_csv_test").string();
+        dir_ = testing_support::unique_temp_path("amsnet_csv_test").string();
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }

@@ -1,4 +1,5 @@
 #include "core/experiment.hpp"
+#include "temp_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -31,7 +32,7 @@ ExperimentOptions tiny_options(const std::string& cache_dir) {
 class ExperimentEnvTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = (fs::temp_directory_path() / "amsnet_exp_test").string();
+        dir_ = testing_support::unique_temp_path("amsnet_exp_test").string();
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -41,32 +42,42 @@ constexpr ShapeCase kShapes[] = {
     {6, 13, 17}, {8, 32, 64}, {17, 51, 33}, {64, 36, 81},
 };
 
-std::vector<std::int32_t> naive_s8u8(const std::vector<std::int8_t>& a,
-                                     const std::vector<std::uint8_t>& b, std::size_t m,
-                                     std::size_t k, std::size_t n) {
-    std::vector<std::int32_t> c(m * n, 0);
+/// Exact reference: int64 accumulation cannot overflow at these sizes.
+template <typename A, typename B>
+std::vector<std::int64_t> naive_exact(const std::vector<A>& a, const std::vector<B>& b,
+                                      std::size_t m, std::size_t k, std::size_t n) {
+    std::vector<std::int64_t> c(m * n, 0);
     for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t kk = 0; kk < k; ++kk) {
             for (std::size_t j = 0; j < n; ++j) {
-                c[i * n + j] += static_cast<std::int32_t>(a[i * k + kk]) * b[kk * n + j];
+                c[i * n + j] += static_cast<std::int64_t>(a[i * k + kk]) * b[kk * n + j];
             }
         }
     }
     return c;
 }
 
+/// The low 32 bits of each exact sum, as two's complement: what every
+/// arm's int32 accumulator holds (modulo-2^32 wrap, like paddd). Equal to
+/// the exact sum whenever it fits int32.
+std::vector<std::int32_t> wrap_i32(const std::vector<std::int64_t>& exact) {
+    std::vector<std::int32_t> c(exact.size());
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+        c[i] = static_cast<std::int32_t>(static_cast<std::uint32_t>(exact[i]));
+    }
+    return c;
+}
+
+std::vector<std::int32_t> naive_s8u8(const std::vector<std::int8_t>& a,
+                                     const std::vector<std::uint8_t>& b, std::size_t m,
+                                     std::size_t k, std::size_t n) {
+    return wrap_i32(naive_exact(a, b, m, k, n));
+}
+
 std::vector<std::int32_t> naive_s16(const std::vector<std::int16_t>& a,
                                     const std::vector<std::int16_t>& b, std::size_t m,
                                     std::size_t k, std::size_t n) {
-    std::vector<std::int32_t> c(m * n, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            for (std::size_t j = 0; j < n; ++j) {
-                c[i * n + j] += static_cast<std::int32_t>(a[i * k + kk]) * b[kk * n + j];
-            }
-        }
-    }
-    return c;
+    return wrap_i32(naive_exact(a, b, m, k, n));
 }
 
 std::vector<simd::Level> testable_levels() {
@@ -139,14 +150,23 @@ TEST(GemmIntTest, S16AllArmsBitEqualToNaiveAtOneAndFourThreads) {
 TEST(GemmIntTest, ExtremeCodesCannotSaturateTheInnerProducts) {
     // The documented operand contracts at their limits: pmaddubsw's i16
     // intermediate holds 2 * 127 * 127, pmaddwd's i32 holds 2 * 32767^2.
+    // Past the pairs, k = 9 breaks int_accumulator_safe for the int16
+    // codes on purpose: the exact sum 9 * -32767^2 does not fit int32,
+    // and every arm must wrap it modulo 2^32 identically.
     LevelGuard guard;
     const std::size_t m = 5, k = 9, n = 11;
     std::vector<std::int8_t> a8(m * k, -127);
     std::vector<std::uint8_t> b8(k * n, 127);
-    const auto expected8 = naive_s8u8(a8, b8, m, k, n);
+    const auto exact8 = naive_exact(a8, b8, m, k, n);
+    ASSERT_EQ(exact8[0], -127 * 127 * 9);  // fits: no wrap
+    const auto expected8 = wrap_i32(exact8);
     std::vector<std::int16_t> a16(m * k, -32767);
     std::vector<std::int16_t> b16(k * n, 32767);
-    const auto expected16 = naive_s16(a16, b16, m, k, n);
+    const auto exact16 = naive_exact(a16, b16, m, k, n);
+    ASSERT_EQ(exact16[0], std::int64_t{-32767} * 32767 * 9);
+    ASSERT_LT(exact16[0], std::int64_t{INT32_MIN});  // the wrap is exercised
+    const auto expected16 = wrap_i32(exact16);
+    EXPECT_EQ(expected16[0], -1073152009);  // -9663086601 + 2 * 2^32
 
     for (const simd::Level level : testable_levels()) {
         simd::set_level(level);

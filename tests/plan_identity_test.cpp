@@ -1,12 +1,14 @@
 // The graph compiler's acceptance criterion (DESIGN.md §13): a compiled
-// ExecutionPlan produces logits *bit-identical* to the module walk for
-// every backend, at any thread count, on both SIMD arms. These tests pin
-// that contract across the model variants the paper studies (quant+AMS,
-// FP32, bottleneck, stem-maxpool), all five VMAC datapaths, partial
-// batches, recording mode, post-compile injector toggles, the
-// AMSNET_COMPILE evaluate path, and serve's compiled replicas. The BN
-// fold pass (a deployment-semantics change, opt-in) is checked against
-// the reference fold (models::fold_conv_bn + apply_folded) instead.
+// ExecutionPlan — the only eval-mode forward path — produces logits
+// *bit-identical* to the modules' allocating forward(x) for every
+// backend, at any thread count, on both SIMD arms. These tests pin that
+// contract across the model variants the paper studies (quant+AMS, FP32,
+// bottleneck, stem-maxpool), all six VMAC datapaths, partial batches,
+// recording mode, post-compile injector toggles, evaluate_top1, serve's
+// compiled replicas, and a seeded sweep of random MiniResNet-style
+// configs (the compiler's differential safety net). The BN fold pass (a
+// deployment-semantics change, opt-in) is checked against the reference
+// fold (models::fold_conv_bn + apply_folded) instead.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,6 +25,7 @@
 #include "models/fold.hpp"
 #include "models/resnet.hpp"
 #include "nn/activations.hpp"
+#include "nn/loss.hpp"
 #include "nn/sequential.hpp"
 #include "runtime/eval_context.hpp"
 #include "runtime/simd.hpp"
@@ -33,13 +36,12 @@
 namespace ams {
 namespace {
 
-/// Runs `make_output()` under a global pool of `threads` executors and
-/// returns the raw floats, restoring the env-default pool afterwards.
+/// Runs `make_output()` (which returns raw floats) under a global pool
+/// of `threads` executors, restoring the env-default pool afterwards.
 template <typename Fn>
 std::vector<float> with_threads(std::size_t threads, Fn&& make_output) {
     runtime::ThreadPool::set_global_threads(threads);
-    Tensor out = make_output();
-    std::vector<float> bits(out.data(), out.data() + out.size());
+    std::vector<float> bits = make_output();
     runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
     return bits;
 }
@@ -51,38 +53,60 @@ void expect_bit_identical(const std::vector<float>& a, const std::vector<float>&
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
+/// Copies the first `rows` images of `x` into an owned tensor.
+Tensor leading_rows(const Tensor& x, std::size_t rows) {
+    std::vector<std::size_t> dims(x.shape().dims().begin(), x.shape().dims().end());
+    dims[0] = rows;
+    Tensor out{Shape(dims)};
+    std::memcpy(out.data(), x.data(), out.size() * sizeof(float));
+    return out;
+}
+
+/// Appends `t`'s floats to `bits`.
+void append_bits(std::vector<float>& bits, const Tensor& t) {
+    bits.insert(bits.end(), t.data(), t.data() + t.size());
+}
+
 /// The core harness: fresh model per run (injector noise epochs advance
-/// per forward, so models are never reused across runs), module walk as
-/// reference, compiled plan as candidate, over {1, 4} threads and both
-/// SIMD arms.
+/// per forward, so models are never reused across runs), the allocating
+/// forward(x) as reference, the compiled plan as candidate. Each run
+/// pushes the full batch and then its first `partial` images (0: none)
+/// through the same model, so the plan's partial-batch path and the
+/// noise-epoch bookkeeping across runs are covered too. Runs over
+/// {1, 4} threads on every SIMD arm in `levels`.
 template <typename MakeModel>
-void expect_plan_matches_module(MakeModel&& make_model, const Tensor& x,
-                                const compile::CompileOptions& copts = {}) {
-    auto module_walk = [&] {
+void expect_plan_matches_forward(MakeModel&& make_model, const Tensor& x,
+                                 const compile::CompileOptions& copts = {},
+                                 std::size_t partial = 0,
+                                 std::vector<simd::Level> levels = {simd::Level::kScalar,
+                                                                    simd::Level::kAvx2}) {
+    const Tensor x_part = leading_rows(x, partial == 0 ? x.dim(0) : partial);
+    auto reference = [&] {
         auto model = make_model();
         model->set_training(false);
-        runtime::EvalContext ctx;
-        (void)model->plan(x.shape(), ctx);
-        const Tensor out = model->forward(x, ctx);
-        return Tensor(out);  // deep copy out of the arena before ctx dies
+        std::vector<float> bits;
+        append_bits(bits, model->forward(x));
+        if (partial != 0) append_bits(bits, model->forward(x_part));
+        return bits;
     };
     auto planned = [&] {
         auto model = make_model();
         model->set_training(false);
         runtime::EvalContext ctx;
-        (void)model->plan(x.shape(), ctx);
         compile::ExecutionPlan plan = compile::compile(*model, x.shape(), copts);
-        const Tensor out = plan.run(x, ctx);
-        return Tensor(out);
+        std::vector<float> bits;
+        append_bits(bits, plan.run(x, ctx));
+        if (partial != 0) append_bits(bits, plan.run(x_part, ctx));
+        return bits;
     };
     const simd::Level saved = simd::active_level();
-    for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+    for (simd::Level level : levels) {
         if (level == simd::Level::kAvx2 && !simd::cpu_supports_avx2_fma()) continue;
         simd::set_level(level);
-        const std::vector<float> reference = with_threads(1, module_walk);
-        expect_bit_identical(reference, with_threads(1, planned));
-        expect_bit_identical(reference, with_threads(4, planned));
-        expect_bit_identical(reference, with_threads(4, module_walk));
+        const std::vector<float> expected = with_threads(1, reference);
+        expect_bit_identical(expected, with_threads(1, planned));
+        expect_bit_identical(expected, with_threads(4, planned));
+        expect_bit_identical(expected, with_threads(4, reference));
     }
     simd::set_level(saved);
 }
@@ -106,7 +130,7 @@ Tensor tiny_input(std::uint64_t seed = 31) {
 
 TEST(PlanIdentityTest, TinyResNetQuantAmsBitIdentical) {
     const models::ResNetConfig cfg = models::tiny_resnet_config(quant_ams_common());
-    expect_plan_matches_module([&] { return std::make_unique<models::ResNet>(cfg); },
+    expect_plan_matches_forward([&] { return std::make_unique<models::ResNet>(cfg); },
                                tiny_input());
 }
 
@@ -116,7 +140,7 @@ TEST(PlanIdentityTest, TinyResNetUnfusedPlanBitIdentical) {
     const models::ResNetConfig cfg = models::tiny_resnet_config(quant_ams_common());
     compile::CompileOptions copts;
     copts.fuse = false;
-    expect_plan_matches_module([&] { return std::make_unique<models::ResNet>(cfg); },
+    expect_plan_matches_forward([&] { return std::make_unique<models::ResNet>(cfg); },
                                tiny_input(), copts);
 }
 
@@ -127,7 +151,7 @@ TEST(PlanIdentityTest, MiniResNetBottleneckBitIdentical) {
     Rng rng(17);
     Tensor x(Shape{3, 3, 16, 16});
     x.fill_uniform(rng, -1.0f, 1.0f);
-    expect_plan_matches_module([&] { return std::make_unique<models::ResNet>(cfg); }, x);
+    expect_plan_matches_forward([&] { return std::make_unique<models::ResNet>(cfg); }, x);
 }
 
 TEST(PlanIdentityTest, Fp32BaselineBitIdentical) {
@@ -135,52 +159,24 @@ TEST(PlanIdentityTest, Fp32BaselineBitIdentical) {
     // aliased directly (no compile-time re-quantization).
     models::LayerCommon common;  // bits 32/32, ams off
     const models::ResNetConfig cfg = models::tiny_resnet_config(common);
-    expect_plan_matches_module([&] { return std::make_unique<models::ResNet>(cfg); },
+    expect_plan_matches_forward([&] { return std::make_unique<models::ResNet>(cfg); },
                                tiny_input(5));
 }
 
 TEST(PlanIdentityTest, StemMaxpoolBitIdentical) {
     models::ResNetConfig cfg = models::tiny_resnet_config(quant_ams_common());
     cfg.stem_maxpool = true;  // exercises the kMaxPool lowering
-    expect_plan_matches_module([&] { return std::make_unique<models::ResNet>(cfg); },
+    expect_plan_matches_forward([&] { return std::make_unique<models::ResNet>(cfg); },
                                tiny_input(11));
 }
 
 TEST(PlanIdentityTest, PartialBatchBitIdentical) {
     // A plan compiled at batch 5 must serve any batch <= 5 with the same
-    // bits as the module walk, including the epoch bookkeeping across a
+    // bits as forward(x), including the epoch bookkeeping across a
     // full-then-partial sequence (the evaluate tail-batch pattern).
     const models::ResNetConfig cfg = models::tiny_resnet_config(quant_ams_common());
-    const Tensor x5 = tiny_input();
-    const Tensor x3 = Tensor::borrowed(Shape{3, 3, 8, 8}, const_cast<float*>(x5.data()));
-
-    auto module_walk = [&] {
-        models::ResNet model(cfg);
-        model.set_training(false);
-        runtime::EvalContext ctx;
-        (void)model.plan(x5.shape(), ctx);
-        Tensor both(Shape{x5.dim(0) + x3.dim(0), cfg.num_classes});
-        const Tensor full = model.forward(x5, ctx);
-        std::memcpy(both.data(), full.data(), full.size() * sizeof(float));
-        const Tensor tail = model.forward(x3, ctx);
-        std::memcpy(both.data() + full.size(), tail.data(), tail.size() * sizeof(float));
-        return both;
-    };
-    auto planned = [&] {
-        models::ResNet model(cfg);
-        model.set_training(false);
-        runtime::EvalContext ctx;
-        (void)model.plan(x5.shape(), ctx);
-        compile::ExecutionPlan plan = compile::compile(model, x5.shape());
-        Tensor both(Shape{x5.dim(0) + x3.dim(0), cfg.num_classes});
-        const Tensor full = plan.run(x5, ctx);
-        std::memcpy(both.data(), full.data(), full.size() * sizeof(float));
-        const Tensor tail = plan.run(x3, ctx);
-        std::memcpy(both.data() + full.size(), tail.data(), tail.size() * sizeof(float));
-        return both;
-    };
-    expect_bit_identical(with_threads(1, module_walk), with_threads(1, planned));
-    expect_bit_identical(with_threads(4, module_walk), with_threads(4, planned));
+    expect_plan_matches_forward([&] { return std::make_unique<models::ResNet>(cfg); },
+                                tiny_input(), {}, /*partial=*/3);
 }
 
 TEST(PlanIdentityTest, AllBackendsBitIdentical) {
@@ -210,82 +206,75 @@ TEST(PlanIdentityTest, AllBackendsBitIdentical) {
             return seq;
         };
         SCOPED_TRACE(vmac::backend_kind_name(kind));
-        expect_plan_matches_module(make_model, x);
+        expect_plan_matches_forward(make_model, x);
     }
 }
 
 TEST(PlanIdentityTest, InjectorToggleAfterCompileBitIdentical) {
     // The fused tail's inject slot is resolved at *run* time, so flipping
-    // the master AMS switch after compiling must track the module walk.
+    // the master AMS switch after compiling must track forward(x).
     const models::ResNetConfig cfg = models::tiny_resnet_config(quant_ams_common());
     const Tensor x = tiny_input();
-    auto module_walk = [&] {
+    auto reference = [&] {
         models::ResNet model(cfg);
         model.set_training(false);
         model.set_ams_enabled(false);
-        runtime::EvalContext ctx;
-        (void)model.plan(x.shape(), ctx);
-        const Tensor quiet = model.forward(x, ctx);
-        Tensor both(Shape{2 * quiet.dim(0), quiet.dim(1)});
-        std::memcpy(both.data(), quiet.data(), quiet.size() * sizeof(float));
+        std::vector<float> bits;
+        append_bits(bits, model.forward(x));
         model.set_ams_enabled(true);
-        const Tensor noisy = model.forward(x, ctx);
-        std::memcpy(both.data() + quiet.size(), noisy.data(), noisy.size() * sizeof(float));
-        return both;
+        append_bits(bits, model.forward(x));
+        return bits;
     };
     auto planned = [&] {
         models::ResNet model(cfg);
         model.set_training(false);
         runtime::EvalContext ctx;
-        (void)model.plan(x.shape(), ctx);
         compile::ExecutionPlan plan = compile::compile(model, x.shape());
         model.set_ams_enabled(false);
-        const Tensor quiet = plan.run(x, ctx);
-        Tensor both(Shape{2 * quiet.dim(0), quiet.dim(1)});
-        std::memcpy(both.data(), quiet.data(), quiet.size() * sizeof(float));
+        std::vector<float> bits;
+        append_bits(bits, plan.run(x, ctx));
         model.set_ams_enabled(true);
-        const Tensor noisy = plan.run(x, ctx);
-        std::memcpy(both.data() + quiet.size(), noisy.data(), noisy.size() * sizeof(float));
-        return both;
+        append_bits(bits, plan.run(x, ctx));
+        return bits;
     };
-    expect_bit_identical(with_threads(1, module_walk), with_threads(1, planned));
-    expect_bit_identical(with_threads(4, module_walk), with_threads(4, planned));
+    expect_bit_identical(with_threads(1, reference), with_threads(1, planned));
+    expect_bit_identical(with_threads(4, reference), with_threads(4, planned));
 }
 
 TEST(PlanIdentityTest, RecordingModeMatchesModuleWalk) {
     // Fig. 6 instrumentation through the compiled path: logits stay
-    // bit-identical and the accumulated per-layer activation means agree
-    // exactly (same serial double summation over the same values).
+    // bit-identical to forward(x) and the accumulated per-layer
+    // activation means agree exactly (same serial double summation over
+    // the same values).
     const models::ResNetConfig cfg = models::tiny_resnet_config(quant_ams_common());
     const Tensor x = tiny_input();
-    std::vector<double> walk_means;
+    std::vector<double> forward_means;
     std::vector<double> plan_means;
-    auto module_walk = [&] {
+    auto reference = [&] {
         models::ResNet model(cfg);
         model.set_training(false);
         model.set_recording(true);
-        runtime::EvalContext ctx;
-        (void)model.plan(x.shape(), ctx);
-        const Tensor out = model.forward(x, ctx);
-        walk_means = model.activation_means();
-        return Tensor(out);
+        std::vector<float> bits;
+        append_bits(bits, model.forward(x));
+        forward_means = model.activation_means();
+        return bits;
     };
     auto planned = [&] {
         models::ResNet model(cfg);
         model.set_training(false);
         runtime::EvalContext ctx;
-        (void)model.plan(x.shape(), ctx);
         compile::ExecutionPlan plan = compile::compile(model, x.shape());
         model.set_recording(true);  // after compile: resolved at run time
-        const Tensor out = plan.run(x, ctx);
+        std::vector<float> bits;
+        append_bits(bits, plan.run(x, ctx));
         plan_means = model.activation_means();
-        return Tensor(out);
+        return bits;
     };
-    expect_bit_identical(with_threads(1, module_walk), with_threads(1, planned));
-    ASSERT_EQ(walk_means.size(), plan_means.size());
-    ASSERT_FALSE(walk_means.empty());
-    for (std::size_t i = 0; i < walk_means.size(); ++i) {
-        EXPECT_DOUBLE_EQ(walk_means[i], plan_means[i]) << "conv layer " << i;
+    expect_bit_identical(with_threads(1, reference), with_threads(1, planned));
+    ASSERT_EQ(forward_means.size(), plan_means.size());
+    ASSERT_FALSE(forward_means.empty());
+    for (std::size_t i = 0; i < forward_means.size(); ++i) {
+        EXPECT_DOUBLE_EQ(forward_means[i], plan_means[i]) << "conv layer " << i;
     }
 }
 
@@ -320,7 +309,6 @@ TEST(PlanIdentityTest, FoldedPlanMatchesReferenceFold) {
     compile::CompileOptions copts;
     copts.fold_bn = true;
     runtime::EvalContext ctx;
-    (void)unit.plan(x.shape(), ctx);
     compile::ExecutionPlan plan = compile::compile(unit, x.shape(), copts);
     const Tensor out = plan.run(x, ctx);
 
@@ -338,8 +326,8 @@ TEST(PlanIdentityTest, FoldedPlanMatchesReferenceFold) {
 
 TEST(PlanIdentityTest, FoldedResNetRunsAndDropsBatchNorm) {
     // Network-level fold smoke test (quantized weights are re-quantized on
-    // the folded grid, so logits legitimately differ from the module
-    // walk): the plan compiles, runs, and contains no BN work.
+    // the folded grid, so logits legitimately differ from
+    // forward(x)): the plan compiles, runs, and contains no BN work.
     models::LayerCommon common = quant_ams_common();
     common.ams_enabled = false;  // folding is a deployment (noise-free) step
     const models::ResNetConfig cfg = models::tiny_resnet_config(common);
@@ -349,7 +337,6 @@ TEST(PlanIdentityTest, FoldedResNetRunsAndDropsBatchNorm) {
     compile::CompileOptions copts;
     copts.fold_bn = true;
     runtime::EvalContext ctx;
-    (void)model.plan(x.shape(), ctx);
     compile::ExecutionPlan plan = compile::compile(model, x.shape(), copts);
     const Tensor out = plan.run(x, ctx);
     ASSERT_EQ(out.rank(), 2u);
@@ -385,7 +372,11 @@ TEST(PlanIdentityTest, PlanArenaSmallerThanModuleWalk) {
     }
 }
 
-TEST(PlanIdentityTest, EvaluateWithCompileEnvMatchesModuleWalk) {
+TEST(PlanIdentityTest, EvaluateTop1MatchesForwardLogits) {
+    // evaluate_top1 runs one compiled plan per call; its per-pass
+    // accuracies must equal top-1 computed from forward(x) logits over the
+    // same batches (24 images at batch 16: a full and a partial batch, so
+    // the tail batch rides the same plan).
     data::DatasetOptions dopts;
     dopts.classes = 4;
     dopts.train_per_class = 4;
@@ -394,30 +385,50 @@ TEST(PlanIdentityTest, EvaluateWithCompileEnvMatchesModuleWalk) {
     dopts.seed = 15;
     data::SyntheticImageNet ds(dopts);
     const models::ResNetConfig cfg = models::tiny_resnet_config(quant_ams_common());
+    const Tensor& images = ds.val_images();
+    const std::vector<std::size_t>& labels = ds.val_labels();
+    const std::size_t n = images.dim(0);
+    const std::size_t batch = 16;
+    const std::size_t passes = 3;
 
-    auto passes = [&] {
+    std::vector<double> expected;
+    {
         models::ResNet model(cfg);
-        return train::evaluate_top1(model, ds.val_images(), ds.val_labels(), 16, 3).passes;
-    };
+        model.set_training(false);
+        const std::size_t image = images.size() / n;
+        for (std::size_t p = 0; p < passes; ++p) {
+            double hits = 0.0;
+            for (std::size_t start = 0; start < n; start += batch) {
+                const std::size_t count = std::min(batch, n - start);
+                Tensor x(Shape{count, images.dim(1), images.dim(2), images.dim(3)});
+                std::memcpy(x.data(), images.data() + start * image,
+                            x.size() * sizeof(float));
+                const std::vector<std::size_t> batch_labels(labels.begin() + start,
+                                                            labels.begin() + start + count);
+                hits += nn::topk_accuracy(model.forward(x), batch_labels, 1) *
+                        static_cast<double>(count);
+            }
+            expected.push_back(hits / static_cast<double>(n));
+        }
+    }
+
     // The integer GEMM path is a toleranced realization, not part of the
     // bit-identity contract — pin it off for this comparison (the CI int8
     // shard exports AMSNET_GEMM_INT=int8 globally).
     const char* saved_gemm_int = ::getenv("AMSNET_GEMM_INT");
     const std::string saved_gemm_int_value = saved_gemm_int ? saved_gemm_int : "";
     ::setenv("AMSNET_GEMM_INT", "off", 1);
-    ::unsetenv("AMSNET_COMPILE");
-    const std::vector<double> walked = passes();
-    ::setenv("AMSNET_COMPILE", "on", 1);
-    const std::vector<double> compiled = passes();
-    ::unsetenv("AMSNET_COMPILE");
+    models::ResNet model(cfg);
+    const std::vector<double> evaluated =
+        train::evaluate_top1(model, images, labels, batch, passes).passes;
     if (saved_gemm_int) {
         ::setenv("AMSNET_GEMM_INT", saved_gemm_int_value.c_str(), 1);
     } else {
         ::unsetenv("AMSNET_GEMM_INT");
     }
-    ASSERT_EQ(walked.size(), compiled.size());
-    for (std::size_t i = 0; i < walked.size(); ++i) {
-        EXPECT_DOUBLE_EQ(walked[i], compiled[i]) << "pass " << i;
+    ASSERT_EQ(evaluated.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(evaluated[i], expected[i]) << "pass " << i;
     }
 }
 
@@ -439,13 +450,11 @@ TEST(PlanIdentityTest, CompileRejectsTrainingModeAndBadBatch) {
 
 // ----- serve-level compiled replicas -----
 
-std::vector<std::vector<float>> serve_logits(models::ResNet& primary, const Tensor& images,
-                                             serve::CompileMode mode) {
+std::vector<std::vector<float>> serve_logits(models::ResNet& primary, const Tensor& images) {
     serve::ServerOptions sopts;
     sopts.instances = 1;
     sopts.max_batch = 4;
     sopts.max_delay_us = 0;
-    sopts.compile_mode = mode;
     serve::InferenceServer server(
         primary, Shape{images.dim(1), images.dim(2), images.dim(3)}, sopts);
     const std::size_t image = images.dim(1) * images.dim(2) * images.dim(3);
@@ -461,8 +470,8 @@ std::vector<std::vector<float>> serve_logits(models::ResNet& primary, const Tens
 }
 
 TEST(PlanIdentityTest, ServeCompiledReplicaBitIdentical) {
-    // Deterministic configuration (no AMS noise): CompileMode::kOn and
-    // kOff replicas must serve bit-identical logits per image.
+    // Deterministic configuration (no AMS noise): the compiled replicas
+    // must serve, per image, the bits of the primary's forward(x) row.
     models::LayerCommon common;
     common.bits_w = 8;
     common.bits_x = 8;  // quantized but noise-free => schedule-invariant
@@ -472,32 +481,32 @@ TEST(PlanIdentityTest, ServeCompiledReplicaBitIdentical) {
     Rng rng(41);
     Tensor images(Shape{8, 3, 8, 8});
     images.fill_uniform(rng, -1.0f, 1.0f);
+    const Tensor reference = primary.forward(images);
 
     // Serve's compile path reads AMSNET_GEMM_INT; the integer realization
     // is toleranced, so pin it off for this bit-identity check.
     const char* saved_gemm_int = ::getenv("AMSNET_GEMM_INT");
     const std::string saved_gemm_int_value = saved_gemm_int ? saved_gemm_int : "";
     ::setenv("AMSNET_GEMM_INT", "off", 1);
-    const auto walked = serve_logits(primary, images, serve::CompileMode::kOff);
-    const auto compiled = serve_logits(primary, images, serve::CompileMode::kOn);
+    const auto served = serve_logits(primary, images);
     if (saved_gemm_int) {
         ::setenv("AMSNET_GEMM_INT", saved_gemm_int_value.c_str(), 1);
     } else {
         ::unsetenv("AMSNET_GEMM_INT");
     }
-    ASSERT_EQ(walked.size(), compiled.size());
-    for (std::size_t i = 0; i < walked.size(); ++i) {
-        ASSERT_EQ(walked[i].size(), compiled[i].size());
-        EXPECT_EQ(std::memcmp(walked[i].data(), compiled[i].data(),
-                              walked[i].size() * sizeof(float)),
+    ASSERT_EQ(served.size(), images.dim(0));
+    const std::size_t classes = reference.dim(1);
+    for (std::size_t i = 0; i < served.size(); ++i) {
+        ASSERT_EQ(served[i].size(), classes);
+        EXPECT_EQ(std::memcmp(served[i].data(), reference.data() + i * classes,
+                              classes * sizeof(float)),
                   0)
             << "image " << i;
     }
 }
 
 /// A module the compiler cannot lower: deterministic per-image row sums
-/// as two logits. kOn must refuse it at construction; kAuto must serve
-/// it through the module walk.
+/// as two logits. The server must refuse it at construction.
 class OpaqueModule : public nn::Module {
 public:
     Tensor forward(const Tensor& input) override {
@@ -513,7 +522,6 @@ public:
         }
         return out;
     }
-    Shape plan(const Shape& in, runtime::EvalContext&) override { return Shape{in.dim(0), 2}; }
     Tensor backward(const Tensor&) override { throw std::logic_error("eval only"); }
     [[nodiscard]] std::string name() const override { return "OpaqueModule"; }
 };
@@ -521,21 +529,104 @@ public:
 TEST(PlanIdentityTest, ServeCompileOnRejectsUnsupportedGraph) {
     serve::ServerOptions sopts;
     sopts.instances = 1;
-    sopts.compile_mode = serve::CompileMode::kOn;
     auto factory = [](std::size_t) -> std::unique_ptr<nn::Module> {
         return std::make_unique<OpaqueModule>();
     };
     EXPECT_THROW(serve::InferenceServer(factory, Shape{3, 4, 4}, sopts),
                  compile::CompileError);
+}
 
-    // kAuto degrades gracefully: same graph, module-walk service.
-    sopts.compile_mode = serve::CompileMode::kAuto;
-    serve::InferenceServer server(factory, Shape{3, 4, 4}, sopts);
-    std::vector<float> image(3 * 4 * 4, 0.25f);
-    auto result = server.submit(image.data()).get();
-    ASSERT_EQ(result.logits.size(), 2u);
-    EXPECT_FLOAT_EQ(result.logits[0], 0.25f * 48.0f);
-    EXPECT_FLOAT_EQ(result.logits[1], -0.25f * 48.0f);
+// ----- differential sweep over random network configs -----
+
+/// One seeded random ResNet config: block type, stage widths and strides,
+/// stem stride and max pool, weight/activation bits, AMS injection on or
+/// off, and injectors with or without a chip DeviceProfile.
+models::ResNetConfig random_resnet_config(Rng& rng) {
+    static constexpr std::size_t kBits[] = {32, 8, 6, 4};
+    models::ResNetConfig cfg;
+    cfg.num_classes = 2 + rng.uniform_index(4);
+    cfg.stem_channels = 4 * (1 + rng.uniform_index(2));
+    cfg.stem_stride = 1 + rng.uniform_index(2);
+    cfg.stem_maxpool = rng.uniform_index(2) == 1;
+    cfg.bottleneck = rng.uniform_index(2) == 1;
+    const std::size_t stages = 1 + rng.uniform_index(3);
+    for (std::size_t i = 0; i < stages; ++i) {
+        cfg.stages.push_back(models::StageSpec{1 + rng.uniform_index(2),
+                                               4 * (1 + rng.uniform_index(4)),
+                                               1 + rng.uniform_index(2)});
+    }
+    cfg.common.bits_w = kBits[rng.uniform_index(4)];
+    cfg.common.bits_x = kBits[rng.uniform_index(4)];
+    cfg.common.ams_enabled = rng.uniform_index(2) == 1;
+    cfg.common.vmac.enob = 4.0 + static_cast<double>(rng.uniform_index(4));
+    cfg.common.vmac.nmult = 8;
+    if (rng.uniform_index(2) == 1) {
+        cfg.common.device.chip_seed = 1 + rng.uniform_index(1000);
+        cfg.common.device.cell_offset_sigma = 0.02;
+        cfg.common.device.drift_nu = 0.05;
+        cfg.common.device.drift_time = 16.0;
+    }
+    cfg.input_max_abs = 1.5f;
+    cfg.seed = rng.next_u64();
+    return cfg;
+}
+
+TEST(PlanIdentityTest, RandomConfigsMatchForward) {
+    // The differential net under the compiler: seeded random networks,
+    // each compiled at a random batch and run at that batch and then at a
+    // random partial one, on a SIMD arm chosen per config, at 1 and 4
+    // threads. Each trial also routes a random VMAC backend (with or
+    // without DeviceVariation) through the kVmacConv lowering.
+    Rng rng(2024);
+    for (int trial = 0; trial < 8; ++trial) {
+        const models::ResNetConfig cfg = random_resnet_config(rng);
+        const std::size_t batch = 2 + rng.uniform_index(4);
+        const std::size_t partial = 1 + rng.uniform_index(batch - 1);
+        const simd::Level level =
+            rng.uniform_index(2) == 1 ? simd::Level::kAvx2 : simd::Level::kScalar;
+        SCOPED_TRACE("trial " + std::to_string(trial) + ": " +
+                     (cfg.bottleneck ? "bottleneck" : "basic") +
+                     " stages=" + std::to_string(cfg.stages.size()) +
+                     " bits_w=" + std::to_string(cfg.common.bits_w) +
+                     " bits_x=" + std::to_string(cfg.common.bits_x) +
+                     " ams=" + std::to_string(cfg.common.ams_enabled) +
+                     " chip=" + std::to_string(cfg.common.device.active()) +
+                     " batch=" + std::to_string(batch) + "/" + std::to_string(partial));
+        Tensor x(Shape{batch, 3, 16, 16});
+        x.fill_uniform(rng, -1.5f, 1.5f);
+        expect_plan_matches_forward([&] { return std::make_unique<models::ResNet>(cfg); }, x,
+                                    {}, partial, {level});
+
+        vmac::VmacConfig vcfg;
+        vcfg.enob = 6.0;
+        vcfg.nmult = 8;
+        vcfg.bits_w = 9;  // sign-magnitude chunking of the partitioned backend
+        vcfg.bits_x = 9;
+        vmac::BackendOptions bopts;
+        const std::vector<vmac::BackendKind>& kinds = vmac::all_backend_kinds();
+        bopts.kind = kinds[rng.uniform_index(kinds.size())];
+        if (rng.uniform_index(2) == 1) {
+            bopts.variation.chip_seed = 1 + rng.uniform_index(1000);
+            bopts.variation.cell_offset_sigma = 0.01;
+            bopts.variation.ir_drop_alpha = 0.05;
+        }
+        Tensor w(Shape{4, 3, 3, 3});
+        w.fill_uniform(rng, -1.0f, 1.0f);
+        Tensor xv(Shape{batch, 3, 6, 6});
+        xv.fill_uniform(rng, 0.0f, 1.0f);
+        const std::uint64_t vseed = rng.next_u64();
+        SCOPED_TRACE(std::string("vmac backend ") + vmac::backend_kind_name(bopts.kind) +
+                     (bopts.variation.active() ? " + variation" : ""));
+        expect_plan_matches_forward(
+            [&] {
+                auto seq = std::make_unique<nn::Sequential>();
+                seq->emplace<vmac::VmacConv2d>(Tensor(w), 1, 1, vcfg, vmac::AnalogOptions{},
+                                               bopts, Rng(vseed));
+                seq->emplace<nn::ReLU>();
+                return seq;
+            },
+            xv, {}, partial, {level});
+    }
 }
 
 }  // namespace

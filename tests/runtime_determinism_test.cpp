@@ -7,13 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "ams/error_injector.hpp"
+#include "ams/vmac_backend.hpp"
 #include "ams/vmac_conv.hpp"
+#include "compile/plan.hpp"
 #include "data/synthetic_imagenet.hpp"
 #include "models/resnet.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/sequential.hpp"
 #include "runtime/eval_context.hpp"
 #include "runtime/simd.hpp"
 #include "runtime/thread_pool.hpp"
@@ -40,6 +45,23 @@ void expect_bit_identical(const std::vector<float>& a, const std::vector<float>&
     // memcmp, not float ==: bit-identical is the contract (covers NaN and
     // signed-zero payloads too, though none should appear here).
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+}
+
+/// `reference` at 1 thread is the expectation; `candidate` at 1 and 4
+/// threads and `reference` at 4 threads must match it bit for bit, on
+/// the scalar arm and (where the CPU has it) the AVX2 arm.
+template <typename Ref, typename Cand>
+void expect_all_arms_bit_identical(Ref&& reference, Cand&& candidate) {
+    const simd::Level saved = simd::active_level();
+    for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+        if (level == simd::Level::kAvx2 && !simd::cpu_supports_avx2_fma()) continue;
+        simd::set_level(level);
+        const std::vector<float> expected = with_threads(1, reference);
+        expect_bit_identical(expected, with_threads(1, candidate));
+        expect_bit_identical(expected, with_threads(4, candidate));
+        expect_bit_identical(expected, with_threads(4, reference));
+    }
+    simd::set_level(saved);
 }
 
 TEST(RuntimeDeterminismTest, GemmBitIdenticalAcrossThreadCounts) {
@@ -136,7 +158,8 @@ TEST(RuntimeDeterminismTest, VmacConvForwardBitIdenticalAcrossThreadCounts) {
         cfg.nmult = 8;
         cfg.bits_w = 16;
         cfg.bits_x = 16;
-        vmac::VmacConv2d vconv(w, 1, 1, cfg, {}, vmac::VmacConvMode::kBitExact, Rng(12));
+        vmac::VmacConv2d vconv(w, 1, 1, cfg, {},
+                               vmac::BackendOptions{vmac::BackendKind::kBitExact}, Rng(12));
         Tensor x(Shape{3, 3, 6, 6});  // 12 (image, out-channel) tiles
         x.fill_uniform(rng, 0.0f, 1.0f);
         return vconv.forward(x);
@@ -145,10 +168,12 @@ TEST(RuntimeDeterminismTest, VmacConvForwardBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(RuntimeDeterminismTest, ArenaPathMatchesLegacyAllocatingPath) {
-    // The no-numerics-change guarantee of the memory-planning refactor:
-    // plan + arena forward must be bit-identical to the legacy allocating
-    // forward, at any thread count. Fresh model per run: the injectors
-    // advance a per-forward noise epoch, so reuse would shift streams.
+    // The no-numerics-change guarantee of the eval path: the compiled
+    // plan, running in its single arena block, must be bit-identical to
+    // the allocating forward(x) for all six VMAC backends and the
+    // quant+AMS network, at 1 and 4 threads on both SIMD arms. Fresh
+    // model per run: the injectors and stochastic backends advance a
+    // per-forward noise epoch, so reuse would shift streams.
     models::LayerCommon common;
     common.bits_w = 8;
     common.bits_x = 8;
@@ -162,25 +187,58 @@ TEST(RuntimeDeterminismTest, ArenaPathMatchesLegacyAllocatingPath) {
         x.fill_uniform(rng, -1.0f, 1.0f);
         return x;
     };
-    auto legacy = [&] {
+    auto allocating = [&] {
         models::ResNet model(models::tiny_resnet_config(common));
         model.set_training(false);
         return model.forward(make_input());
     };
-    auto arena = [&] {
+    auto planned = [&] {
         models::ResNet model(models::tiny_resnet_config(common));
         model.set_training(false);
         const Tensor x = make_input();
         runtime::EvalContext ctx;
-        (void)model.plan(x.shape(), ctx);
-        const Tensor out = model.forward(x, ctx);
+        compile::ExecutionPlan plan = compile::compile(model, x.shape());
+        const Tensor out = plan.run(x, ctx);
         return Tensor(out);  // deep copy out of the arena before ctx dies
     };
+    expect_all_arms_bit_identical(allocating, planned);
 
-    const std::vector<float> reference = with_threads(1, legacy);
-    expect_bit_identical(reference, with_threads(1, arena));
-    expect_bit_identical(reference, with_threads(4, arena));
-    expect_bit_identical(reference, with_threads(4, legacy));
+    // Every VMAC datapath through the kVmacConv step, behind a fusible
+    // ReLU. 9-bit operands: 8 magnitude bits chunk evenly for the
+    // partitioned backend.
+    vmac::VmacConfig cfg;
+    cfg.enob = 6.0;
+    cfg.nmult = 8;
+    cfg.bits_w = 9;
+    cfg.bits_x = 9;
+    Rng wrng(7);
+    Tensor w(Shape{4, 3, 3, 3});
+    w.fill_uniform(wrng, -1.0f, 1.0f);
+    for (vmac::BackendKind kind : vmac::all_backend_kinds()) {
+        SCOPED_TRACE(vmac::backend_kind_name(kind));
+        vmac::BackendOptions bopts;
+        bopts.kind = kind;
+        auto make_vmac = [&] {
+            auto seq = std::make_unique<nn::Sequential>();
+            seq->emplace<vmac::VmacConv2d>(Tensor(w), 1, 1, cfg, vmac::AnalogOptions{}, bopts,
+                                           Rng(8));
+            seq->emplace<nn::ReLU>();
+            seq->set_training(false);
+            return seq;
+        };
+        Rng xrng(9);
+        Tensor x(Shape{5, 3, 6, 6});
+        x.fill_uniform(xrng, 0.0f, 1.0f);
+        auto vmac_allocating = [&] { return make_vmac()->forward(x); };
+        auto vmac_planned = [&] {
+            auto seq = make_vmac();
+            runtime::EvalContext ctx;
+            compile::ExecutionPlan plan = compile::compile(*seq, x.shape());
+            const Tensor out = plan.run(x, ctx);
+            return Tensor(out);
+        };
+        expect_all_arms_bit_identical(vmac_allocating, vmac_planned);
+    }
 }
 
 TEST(RuntimeDeterminismTest, EvaluateSharedContextMatchesLocalContext) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "ams/vmac_conv.hpp"
+#include "compile/plan.hpp"
 #include "data/synthetic_imagenet.hpp"
 #include "models/resnet.hpp"
 #include "nn/pooling.hpp"
@@ -27,7 +28,7 @@ namespace ams::serve {
 namespace {
 
 // Serve's replica compiles read AMSNET_GEMM_INT, and every test here
-// checks bit-identity against the fp32 module walk — pin the toleranced
+// checks bit-identity against the fp32 plan of evaluate — pin the toleranced
 // integer realization off for the whole binary (the CI int8 shard
 // exports AMSNET_GEMM_INT=int8 globally).
 const bool kPinGemmIntOff = [] {
@@ -57,16 +58,15 @@ Shape chw_of(const Tensor& images) {
 }
 
 /// The offline reference: the same batch -> logits path train::evaluate
-/// uses, one whole-set batch on the primary.
+/// uses (slice_batch + a compiled plan), one whole-set batch on the
+/// primary.
 Tensor evaluate_logits(nn::Module& model, const Tensor& images) {
     model.set_training(false);
     runtime::EvalContext ctx;
-    (void)model.plan(images.shape(), ctx);
+    compile::ExecutionPlan plan = compile::compile(model, images.shape());
     const Tensor batch = train::slice_batch(images, 0, images.dim(0), ctx);
-    Tensor logits = train::forward_batch(model, batch, ctx);
-    Tensor owned(logits.shape());
-    std::memcpy(owned.data(), logits.data(), logits.size() * sizeof(float));
-    return owned;
+    const Tensor logits = plan.run(batch, ctx);
+    return Tensor(logits);  // deep copy out of the arena before ctx dies
 }
 
 /// Submits every image and checks each result row against `expected`

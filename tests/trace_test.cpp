@@ -19,6 +19,7 @@
 
 #include "ams/vmac_backend.hpp"
 #include "ams/vmac_conv.hpp"
+#include "compile/plan.hpp"
 #include "core/experiment.hpp"
 #include "models/resnet.hpp"
 #include "runtime/eval_context.hpp"
@@ -26,6 +27,7 @@
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/trace.hpp"
+#include "temp_path.hpp"
 
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
@@ -171,7 +173,6 @@ TEST(MetricsTest, MetricsJsonGolden) {
         "  \"checkpoint_memo_hits\": 0,\n"
         "  \"checkpoint_misses\": 0,\n"
         "  \"checkpoint_corrupt_recovered\": 0,\n"
-        "  \"checkpoint_legacy_migrations\": 0,\n"
         "  \"eval_passes\": 0,\n"
         "  \"eval_batches\": 0,\n"
         "  \"serve_requests\": 0,\n"
@@ -401,9 +402,9 @@ TEST(TraceTest, ConversionCountersMatchConversionProfileForAllBackends) {
 }
 
 TEST(TraceTest, CountersModeInferenceIsAllocationFree) {
-    // The counters level must preserve the planned inference path's
-    // zero-allocation guarantee (alloc_count_test holds the same claim
-    // for AMSNET_TRACE=off).
+    // The counters level must preserve the compiled plan's zero-allocation
+    // guarantee for steady-state ExecutionPlan::run (alloc_count_test
+    // holds the same claim for AMSNET_TRACE=off).
     TraceSandbox sandbox(metrics::Level::kCounters);
     runtime::ThreadPool::set_global_threads(1);
 
@@ -420,17 +421,17 @@ TEST(TraceTest, CountersModeInferenceIsAllocationFree) {
     x.fill_uniform(rng, -1.0f, 1.0f);
 
     runtime::EvalContext ctx;
-    (void)model.plan(x.shape(), ctx);
+    compile::ExecutionPlan plan = compile::compile(model, x.shape());
     for (int i = 0; i < 2; ++i) {
         const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
-        (void)model.forward(x, ctx);
+        (void)plan.run(x, ctx);
         ctx.rewind(cp);
     }
 
     const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
     for (int i = 0; i < 3; ++i) {
         const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
-        Tensor out = model.forward(x, ctx);
+        Tensor out = plan.run(x, ctx);
         ctx.rewind(cp);
     }
     const std::size_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
@@ -445,7 +446,7 @@ TEST(TraceTest, FourThreadSweepChromeTraceExports) {
     // End-to-end: a 4-thread ams_enob_sweep under full tracing exports a
     // chrome://tracing-loadable file with the sweep's phase spans on it.
     namespace fs = std::filesystem;
-    const std::string dir = (fs::temp_directory_path() / "amsnet_trace_sweep").string();
+    const std::string dir = testing_support::unique_temp_path("amsnet_trace_sweep").string();
     fs::remove_all(dir);
 
     core::ExperimentOptions o;
