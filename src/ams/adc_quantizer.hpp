@@ -12,6 +12,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "quant/fixed_point.hpp"
+
 namespace ams::vmac {
 
 /// Mid-tread quantizer with clipping at +/- (reference_scale * full_scale).
@@ -51,7 +53,7 @@ public:
     /// Digital output for analog input `v`: clip, then round to the grid.
     [[nodiscard]] double convert(double v) const {
         const double clipped = std::clamp(v, -reference_, reference_);
-        return std::round(clipped / lsb_) * lsb_;
+        return quant::round_half_away(clipped / lsb_) * lsb_;
     }
 
 private:

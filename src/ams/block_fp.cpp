@@ -1,37 +1,9 @@
 #include "ams/block_fp.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 namespace ams::vmac {
-
-namespace {
-
-/// Block quantum for one operand vector: 2^(e_max - mantissa_bits),
-/// where e_max is the shared (maximum) frexp exponent over the chunk.
-/// Every |v| then encodes as lround(v / quantum) with magnitude
-/// <= 2^mantissa_bits. All-zero chunks get quantum 1 (mantissas are 0).
-double block_quantum(std::span<const double> values, std::size_t mantissa_bits) {
-    double max_abs = 0.0;
-    for (const double v : values) max_abs = std::max(max_abs, std::fabs(v));
-    if (max_abs == 0.0) return 1.0;
-    int e = 0;
-    (void)std::frexp(max_abs, &e);  // max_abs = m * 2^e, m in [0.5, 1)
-    return std::ldexp(1.0, e - static_cast<int>(mantissa_bits));
-}
-
-/// Thread-local mantissa scratch: the simulator runs one chunk at a time
-/// per thread, and clones never share state, so reuse is safe.
-std::vector<std::int64_t>& mantissa_scratch(std::size_t which, std::size_t n) {
-    thread_local std::vector<std::int64_t> bufs[2];
-    bufs[which].resize(n);
-    return bufs[which];
-}
-
-}  // namespace
 
 BlockFpVmac::BlockFpVmac(const VmacConfig& config, std::size_t mantissa_bits_w,
                          std::size_t mantissa_bits_x, const AnalogOptions& analog)
@@ -63,40 +35,14 @@ double BlockFpVmac::dot(std::span<const double> weights, std::span<const double>
         throw std::invalid_argument("BlockFpVmac: more operand pairs than nmult");
     }
     const std::size_t n = weights.size();
-    const double qw = block_quantum(weights, mw_);
-    const double qx = block_quantum(activations, mx_);
-    std::vector<std::int64_t>& mw_codes = mantissa_scratch(0, n);
-    std::vector<std::int64_t>& mx_codes = mantissa_scratch(1, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        mw_codes[i] = std::llround(weights[i] / qw);
-        mx_codes[i] = std::llround(activations[i] / qx);
-    }
+    const double qw = weight_quantum(weights.data(), n, 1);
+    const double qx = activation_quantum(activations.data(), n, 1);
     // q = qw * qx is a product of powers of two: the mantissa dot scales
     // back to the value domain exactly (no rounding in the multiply).
-    const double q = qw * qx;
-    double analog_sum;
-    if (analog_.multiplier_noise_sigma > 0.0) {
-        // Thermal noise per D-to-A multiplier output, as in VmacCell.
-        analog_sum = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            analog_sum += static_cast<double>(mw_codes[i] * mx_codes[i]) * q +
-                          rng.normal(0.0, analog_.multiplier_noise_sigma);
-        }
-    } else {
-        // Exact integer accumulation: |mantissa product| <= 2^(mw+mx)
-        // <= 2^60, and nmult products stay far below the int64 range for
-        // any realistic vector length.
-        std::int64_t acc = 0;
-        for (std::size_t i = 0; i < n; ++i) acc += mw_codes[i] * mx_codes[i];
-        analog_sum = static_cast<double>(acc) * q;
-    }
-    const bool averaging = config_.accumulation == Accumulation::kAverage;
-    if (averaging) analog_sum /= static_cast<double>(config_.nmult);
-    if (analog_.adc_noise_sigma > 0.0) {
-        analog_sum += rng.normal(0.0, analog_.adc_noise_sigma);
-    }
-    const double digital = quantizer_.convert(analog_sum);
-    return averaging ? digital * static_cast<double>(config_.nmult) : digital;
+    const double sum = analog_sum(
+        n, [&](std::size_t i) { return mantissa(weights[i], qw); },
+        [&](std::size_t i) { return mantissa(activations[i], qx); }, qw * qx, rng);
+    return convert_sum(sum, rng);
 }
 
 double BlockFpVmac::effective_enob() const {

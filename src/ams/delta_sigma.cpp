@@ -25,30 +25,11 @@ DeltaSigmaVmac::DeltaSigmaVmac(const VmacConfig& config, double final_enob,
 
 double DeltaSigmaVmac::accumulate(std::span<const double> weights,
                                   std::span<const double> activations, Rng& rng) {
-    // Ideal analog partial sum of this cycle plus the carried residual.
-    // Thermal noise enters each cycle and is NOT recycled (the paper:
-    // "reduces the total incurred quantization error, but does not change
-    // the impact of thermal noise").
-    double analog = cell_.dot_ideal(weights, activations) + residual_;
-    if (cell_.analog().multiplier_noise_sigma > 0.0) {
-        for (std::size_t i = 0; i < weights.size(); ++i) {
-            analog += rng.normal(0.0, cell_.analog().multiplier_noise_sigma);
-        }
-    }
-    if (cell_.analog().adc_noise_sigma > 0.0) {
-        analog += rng.normal(0.0, cell_.analog().adc_noise_sigma);
-    }
-    const double digital = cell_.convert(analog);
-    residual_ = analog - digital;
-    return digital;
+    return cycle(cell_.dot_ideal(weights, activations), weights.size(), residual_, rng);
 }
 
 double DeltaSigmaVmac::finalize(Rng& rng) {
-    double analog = residual_;
-    if (final_cell_.analog().adc_noise_sigma > 0.0) {
-        analog += rng.normal(0.0, final_cell_.analog().adc_noise_sigma);
-    }
-    const double digital = final_cell_.convert(analog);
+    const double digital = final_conversion(residual_, rng);
     residual_ = 0.0;
     return digital;
 }

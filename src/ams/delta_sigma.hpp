@@ -38,6 +38,40 @@ public:
     /// to add to the accumulated sum.
     double finalize(Rng& rng);
 
+    // ----- the datapath's pieces (VmacConv2d runs them stage by stage) -----
+
+    /// One modulator cycle on a chunk of `len` operand pairs whose ideal
+    /// analog sum (encoded operands, analog_sum without noise)
+    /// is `ideal_sum`: adds the carried `residual` and the cycle's thermal
+    /// noise, converts, and carries the new quantization error back into
+    /// `residual`. Returns the cycle's digital output.
+    [[nodiscard]] double cycle(double ideal_sum, std::size_t len, double& residual,
+                               Rng& rng) const {
+        // Thermal noise enters each cycle and is NOT recycled (the paper:
+        // "reduces the total incurred quantization error, but does not
+        // change the impact of thermal noise").
+        double analog = ideal_sum + residual;
+        if (cell_.analog().multiplier_noise_sigma > 0.0) {
+            for (std::size_t i = 0; i < len; ++i) {
+                analog += rng.normal(0.0, cell_.analog().multiplier_noise_sigma);
+            }
+        }
+        if (cell_.analog().adc_noise_sigma > 0.0) {
+            analog += rng.normal(0.0, cell_.analog().adc_noise_sigma);
+        }
+        const double digital = cell_.convert(analog);
+        residual = analog - digital;
+        return digital;
+    }
+
+    /// The high-resolution final conversion of a carried residual.
+    [[nodiscard]] double final_conversion(double residual, Rng& rng) const {
+        if (final_cell_.analog().adc_noise_sigma > 0.0) {
+            residual += rng.normal(0.0, final_cell_.analog().adc_noise_sigma);
+        }
+        return final_cell_.convert(residual);
+    }
+
     /// Convenience: full pipeline over an arbitrary-length dot product.
     [[nodiscard]] double dot(std::span<const double> weights,
                              std::span<const double> activations, Rng& rng);

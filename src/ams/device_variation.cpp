@@ -100,6 +100,10 @@ DeviceVariation::DeviceVariation(std::unique_ptr<VmacBackend> inner,
     if (inner_ == nullptr) {
         throw std::invalid_argument("DeviceVariation: null inner backend");
     }
+    // convert_tile hands the wrapped datapath one per-cell offset table.
+    if (dynamic_cast<const DeviceVariation*>(inner_.get()) != nullptr) {
+        throw std::invalid_argument("DeviceVariation: the inner backend already carries a chip");
+    }
     profile_.validate();
 }
 
@@ -144,6 +148,33 @@ double DeviceVariation::accumulate(std::span<const double> weights,
     scaled_.assign(weights.begin(), weights.end());
     for (double& w : scaled_) w *= cs.gain;
     return inner_->accumulate({scaled_.data(), scaled_.size()}, activations, rng) + cs.offset;
+}
+
+void DeviceVariation::encode_weights(const double* weights, const OperandPlanes& dst) {
+    const std::size_t nmult = config().nmult;
+    const std::size_t chunks = (dst.rows + nmult - 1) / nmult;
+    while (offsets_.size() < chunks) offsets_.push_back(cell_state(offsets_.size()).offset);
+    // Drift/IR act on the stored conductances, as in accumulate().
+    scaled_.resize(dst.rows);
+    for (std::size_t k = 0; k < dst.rows; ++k) {
+        scaled_[k] = weights[k] * cell_state(k / nmult).gain;
+    }
+    inner_->encode_weights(scaled_.data(), dst);
+}
+
+void DeviceVariation::convert_tile(const TileSums& tile, Rng& rng, float* out) const {
+    if (profile_.cell_offset_sigma <= 0.0) {
+        inner_->convert_tile(tile, rng, out);
+        return;
+    }
+    TileSums offset = tile;
+    offset.offsets = offsets_.data();
+    inner_->convert_tile(offset, rng, out);
+}
+
+void DeviceVariation::count_conversions(std::uint64_t chunks, std::uint64_t outputs) const {
+    runtime::metrics::add(runtime::metrics::Counter::kVariationChunks, chunks);
+    inner_->count_conversions(chunks, outputs);
 }
 
 double DeviceVariation::finish_output(Rng& rng) {

@@ -16,7 +16,8 @@
 //   IR drop           * 1 - alpha*min(1, c/ref) on w    position-keyed (no RNG)
 //
 // The cell index c is the chunk's position within the current output
-// accumulator (reset by finish_output), matching a weight-stationary
+// accumulator (reset by finish_output; in the engine's stages, the chunk
+// index of the dot product), matching a weight-stationary
 // mapping where one output column's chunks are time-multiplexed onto the
 // same physical VMAC column. It is a pure function of the chunk stream —
 // never of scheduling — so a chip's realization is bit-identical at any
@@ -41,12 +42,28 @@ namespace ams::vmac {
 /// Decorates `inner` with a DeviceProfile's static error families.
 class DeviceVariation final : public VmacBackend {
 public:
-    /// Throws std::invalid_argument on an invalid profile or null inner.
+    /// Throws std::invalid_argument on an invalid profile, a null inner,
+    /// or an inner that is itself a DeviceVariation (one chip per datapath).
     DeviceVariation(std::unique_ptr<VmacBackend> inner, const DeviceProfile& profile);
 
     double accumulate(std::span<const double> weights, std::span<const double> activations,
                       Rng& rng) override;
     double finish_output(Rng& rng) override;
+
+    [[nodiscard]] OperandLayout operand_layout() const override {
+        return inner_->operand_layout();
+    }
+    /// Scales each chunk's weights by its cell's gain before the wrapped
+    /// datapath encodes them, and freezes the cells' offsets for
+    /// convert_tile.
+    void encode_weights(const double* weights, const OperandPlanes& dst) override;
+    void encode_activations(const float* activations, std::size_t stride,
+                            const OperandPlanes& dst) const override {
+        inner_->encode_activations(activations, stride, dst);
+    }
+    /// The wrapped conversion, plus each chunk's cell offset.
+    void convert_tile(const TileSums& tile, Rng& rng, float* out) const override;
+    void count_conversions(std::uint64_t chunks, std::uint64_t outputs) const override;
 
     /// Transparent decoration: reports the wrapped datapath's kind, so
     /// series labels and conversion ledgers stay per-datapath.
@@ -81,6 +98,7 @@ private:
     std::size_t cell_ = 0;  ///< chunk position within the current output
     mutable std::vector<CellState> cells_;  ///< lazily materialized realization
     std::vector<double> scaled_;            ///< weight-scaling scratch
+    std::vector<double> offsets_;           ///< cells' offsets, by chunk (encode_weights)
 };
 
 /// Wraps `inner` when the profile is active; returns it unchanged when

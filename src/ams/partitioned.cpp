@@ -31,6 +31,14 @@ PartitionedVmac::PartitionedVmac(const VmacConfig& base, const PartitionOptions&
     if (chunk_bits_w_ == 0 || chunk_bits_x_ == 0) {
         throw std::invalid_argument("PartitionedVmac: empty chunks");
     }
+    for (std::size_t p = 0; p < options_.nw; ++p) {
+        for (std::size_t q = 0; q < options_.nx; ++q) {
+            // Partial ADC: full scale Nmult, resolution discounted with depth.
+            partial_adcs_.emplace_back(partial_enob(p, q), static_cast<double>(base_.nmult),
+                                       options_.analog.reference_scale);
+            partial_weights_.push_back(partial_weight(p, q));
+        }
+    }
 }
 
 double PartitionedVmac::partial_enob(std::size_t p, std::size_t q) const {
@@ -54,9 +62,7 @@ double PartitionedVmac::quantization_error_stddev() const {
     double var = 0.0;
     for (std::size_t p = 0; p < options_.nw; ++p) {
         for (std::size_t q = 0; q < options_.nx; ++q) {
-            const double lsb = 2.0 * options_.analog.reference_scale *
-                               static_cast<double>(base_.nmult) *
-                               std::exp2(-partial_enob(p, q));
+            const double lsb = partial_adcs_[p * options_.nx + q].lsb();
             const double w = partial_weight(p, q);
             var += w * w * lsb * lsb / 12.0;
         }
@@ -87,58 +93,23 @@ double PartitionedVmac::dot(std::span<const double> weights,
         throw std::invalid_argument("PartitionedVmac::dot: bad operand count");
     }
     const std::size_t n = weights.size();
-
-    // Encode operands once; chunk the integer magnitudes.
-    std::vector<quant::SignMagCode> wc(n), xc(n);
+    // Slice planes [slice][i], encoded once per call into per-thread
+    // buffers that only grow.
+    thread_local std::vector<double> ws, xs;
+    ws.resize(options_.nw * n);
+    xs.resize(options_.nx * n);
     for (std::size_t i = 0; i < n; ++i) {
-        wc[i] = weight_codec_.encode(weights[i]);
-        xc[i] = act_codec_.encode(activations[i]);
+        encode_weight(weights[i], ws.data() + i, n);
+        encode_activation(activations[i], xs.data() + i, n);
     }
-    const double fs_w = static_cast<double>(weight_codec_.full_scale());
-    const double fs_x = static_cast<double>(act_codec_.full_scale());
-    const std::uint32_t chunk_max_w = (1u << chunk_bits_w_) - 1u;
-    const std::uint32_t chunk_max_x = (1u << chunk_bits_x_) - 1u;
-
-    double result = 0.0;
-    for (std::size_t p = 0; p < options_.nw; ++p) {
-        // Shift of weight chunk p (p = 0 most significant).
-        const std::size_t shift_w = chunk_bits_w_ * (options_.nw - 1 - p);
-        for (std::size_t q = 0; q < options_.nx; ++q) {
-            const std::size_t shift_x = chunk_bits_x_ * (options_.nx - 1 - q);
-
-            // Analog VMAC over normalized chunk products in [-1, 1].
-            double analog = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::uint32_t cw = (wc[i].magnitude >> shift_w) & chunk_max_w;
-                const std::uint32_t cx = (xc[i].magnitude >> shift_x) & chunk_max_x;
-                const double sign =
-                    (wc[i].negative != xc[i].negative) ? -1.0 : 1.0;
-                double product = sign * (static_cast<double>(cw) / chunk_max_w) *
-                                 (static_cast<double>(cx) / chunk_max_x);
-                if (options_.analog.multiplier_noise_sigma > 0.0) {
-                    product += rng.normal(0.0, options_.analog.multiplier_noise_sigma);
-                }
-                analog += product;
-            }
-            if (options_.analog.adc_noise_sigma > 0.0) {
-                analog += rng.normal(0.0, options_.analog.adc_noise_sigma);
-            }
-
-            // Partial ADC: full scale Nmult, resolution discounted with depth.
-            const AdcQuantizer adc(partial_enob(p, q), static_cast<double>(base_.nmult),
-                                   options_.analog.reference_scale);
-            const double digital = adc.convert(analog);
-
-            // Digital shift-and-add: undo the chunk normalizations, apply
-            // the binary-weighted significance, renormalize by full scales.
-            const double weight_of_partial =
-                static_cast<double>(chunk_max_w) * std::exp2(static_cast<double>(shift_w)) /
-                fs_w * static_cast<double>(chunk_max_x) *
-                std::exp2(static_cast<double>(shift_x)) / fs_x;
-            result += digital * weight_of_partial;
-        }
-    }
-    return result;
+    return convert_partials(
+        [&](std::size_t p, std::size_t q, std::size_t /*pq*/) {
+            return analog_sum(
+                n, [&](std::size_t i) { return ws[p * n + i]; },
+                [&](std::size_t i) { return xs[q * n + i]; },
+                options_.analog.multiplier_noise_sigma, rng);
+        },
+        rng);
 }
 
 }  // namespace ams::vmac

@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "ams/adc_quantizer.hpp"
 #include "ams/vmac_cell.hpp"
 
 namespace ams::vmac {
@@ -41,6 +42,41 @@ public:
     /// nx (sign-magnitude: the sign bit is shared by all chunks). Throws
     /// std::invalid_argument otherwise.
     PartitionedVmac(const VmacConfig& base, const PartitionOptions& options);
+
+    // ----- the datapath's pieces (VmacConv2d runs them stage by stage) -----
+
+    /// Stage-1 operand encodings: the sign-magnitude code's NW weight (NX
+    /// activation) slices, slice p = 0 most significant, each normalized
+    /// to [0, 1] and carrying the operand's sign. Writes slice p to
+    /// `slices[p * stride]`.
+    void encode_weight(double w, double* slices, std::size_t stride) const {
+        encode_slices(weight_codec_.encode(w), options_.nw, chunk_bits_w_, slices, stride);
+    }
+    void encode_activation(double x, double* slices, std::size_t stride) const {
+        encode_slices(act_codec_.encode(x), options_.nx, chunk_bits_x_, slices, stride);
+    }
+
+    /// Stage 3: the chunk's digital output. For each partial (p, q) in
+    /// order — pair index pq = p * nx + q — it takes the analog sum
+    /// `analog(p, q, pq)`, adds ADC thermal noise, converts at the
+    /// partial's resolution, and shift-adds.
+    template <typename Analog>
+    [[nodiscard]] double convert_partials(Analog&& analog, Rng& rng) const {
+        const std::size_t nw = options_.nw;
+        const std::size_t nx = options_.nx;
+        const double sigma = options_.analog.adc_noise_sigma;
+        const AdcQuantizer* adcs = partial_adcs_.data();
+        const double* weights = partial_weights_.data();
+        double result = 0.0;
+        for (std::size_t p = 0, pq = 0; p < nw; ++p) {
+            for (std::size_t q = 0; q < nx; ++q, ++pq) {
+                double sum = analog(p, q, pq);
+                if (sigma > 0.0) sum += rng.normal(0.0, sigma);
+                result += adcs[pq].convert(sum) * weights[pq];
+            }
+        }
+        return result;
+    }
 
     /// Digital dot product of up to Nmult operand pairs through the
     /// partitioned datapath.
@@ -79,6 +115,19 @@ public:
     [[nodiscard]] const PartitionOptions& options() const { return options_; }
 
 private:
+    /// Slices of a sign-magnitude code: `count` chunks of `bits` bits,
+    /// chunk 0 most significant, each normalized by its full scale and
+    /// carrying the code's sign.
+    static void encode_slices(const quant::SignMagCode& code, std::size_t count,
+                              std::size_t bits, double* slices, std::size_t stride) {
+        const std::uint32_t chunk_max = (1u << bits) - 1u;
+        for (std::size_t p = 0; p < count; ++p) {
+            const std::uint32_t chunk = (code.magnitude >> (bits * (count - 1 - p))) & chunk_max;
+            const double v = static_cast<double>(chunk) / chunk_max;
+            slices[p * stride] = code.negative ? -v : v;
+        }
+    }
+
     VmacConfig base_;
     PartitionOptions options_;
     std::size_t mag_bits_w_;    ///< BW - 1
@@ -87,6 +136,8 @@ private:
     std::size_t chunk_bits_x_;  ///< mag_bits_x / nx
     quant::SignMagCodec weight_codec_;
     quant::SignMagCodec act_codec_;
+    std::vector<AdcQuantizer> partial_adcs_;  ///< [p * nx + q]: partial_enob(p, q) converters
+    std::vector<double> partial_weights_;     ///< [p * nx + q]: partial_weight(p, q)
 };
 
 }  // namespace ams::vmac

@@ -15,15 +15,53 @@ namespace ams::vmac {
 
 namespace {
 
-/// Conversion ledger: every accumulate() records one chunk plus its ADC
-/// conversions under the backend's own counter. These counters are the
-/// source of truth the energy model's ConversionProfile-derived counts
-/// are cross-checked against (tests/trace_test.cpp asserts exact
-/// agreement for all five kinds).
-inline void count_chunk(runtime::metrics::Counter counter, std::uint64_t conversions = 1) {
-    runtime::metrics::add(runtime::metrics::Counter::kVmacChunks);
+/// Conversion ledger: every chunk records itself plus its ADC conversions
+/// under the backend's own counter, per accumulate() call or in bulk per
+/// layer (count_conversions). These counters are the source of truth the
+/// energy model's ConversionProfile-derived counts are cross-checked
+/// against (tests/trace_test.cpp asserts exact agreement for all kinds).
+void count_chunks(runtime::metrics::Counter counter, std::uint64_t chunks,
+                  std::uint64_t conversions) {
+    runtime::metrics::add(runtime::metrics::Counter::kVmacChunks, chunks);
     runtime::metrics::add(counter, conversions);
 }
+
+/// Stage 1 for element-wise encodings: `encode(v, planes, plane_stride)`
+/// writes the value planes of one operand.
+template <typename T, typename Encode>
+void encode_elementwise(const T* src, std::size_t stride, const OperandPlanes& dst,
+                        Encode&& encode) {
+    const std::size_t plane_stride = dst.rows * dst.cols;
+    for (std::size_t r = 0; r < dst.rows; ++r) {
+        for (std::size_t c = 0; c < dst.cols; ++c) {
+            encode(static_cast<double>(src[r * stride + c]), dst.values + r * dst.cols + c,
+                   plane_stride);
+        }
+    }
+}
+
+/// Stage 3's one loop: converts a tile pixel by pixel and, within a pixel,
+/// chunk by chunk — the order accumulate() streams an output's chunks.
+/// `chunk(c, pixel, residual)` returns chunk c's digital term, and
+/// `finish(residual)` the output's final term; `residual` is the output's
+/// carried state (delta-sigma), reset per pixel.
+template <typename Chunk, typename Finish>
+void convert_stream(const TileSums& t, float* out, Chunk&& chunk, Finish&& finish) {
+    for (std::size_t pixel = 0; pixel < t.pixels(); ++pixel) {
+        double acc = 0.0;
+        double residual = 0.0;
+        for (std::size_t c = 0; c < t.chunks; ++c) {
+            double term = chunk(c, pixel, residual);
+            if (t.offsets != nullptr) term += t.offsets[c];
+            acc += term;
+        }
+        acc += finish(residual);
+        out[pixel] = static_cast<float>(acc);
+    }
+}
+
+/// The final term of a stateless datapath's output.
+double no_final_term(double /*residual*/) { return 0.0; }
 
 }  // namespace
 
@@ -97,34 +135,87 @@ std::string BackendOptions::str() const {
 
 namespace {
 
-/// Plain VmacCell datapath: one ADC conversion per chunk.
-class BitExactBackend final : public VmacBackend {
+/// The VmacCell datapath: sign-magnitude operand codecs, analog sum, one
+/// ADC conversion per chunk. Serves bit_exact (reference scale 1) and
+/// reference_scaled (Sec. 4 method 3: ADC reference shrunk below the
+/// natural full scale — finer LSBs, MSBs clip).
+class CellBackend final : public VmacBackend {
 public:
-    BitExactBackend(const VmacConfig& config, const AnalogOptions& analog)
-        : cell_(config, analog) {}
+    CellBackend(BackendKind kind, const VmacConfig& config, const AnalogOptions& analog,
+                double reference_scale)
+        : kind_(kind),
+          cell_(config, scaled(analog, reference_scale)),
+          base_analog_(analog),
+          scale_(reference_scale) {}
 
     double accumulate(std::span<const double> weights, std::span<const double> activations,
                       Rng& rng) override {
-        count_chunk(runtime::metrics::Counter::kAdcConversionsBitExact);
+        count_conversions(1, 0);
         return cell_.dot(weights, activations, rng);
     }
 
-    [[nodiscard]] BackendKind kind() const override { return BackendKind::kBitExact; }
+    [[nodiscard]] OperandLayout operand_layout() const override {
+        return {1, 1, false, cell_.analog().multiplier_noise_sigma > 0.0};
+    }
+    void encode_weights(const double* weights, const OperandPlanes& dst) override {
+        encode_elementwise(weights, 1, dst, [&](double v, double* out, std::size_t) {
+            *out = cell_.encode_weight(v);
+        });
+    }
+    void encode_activations(const float* activations, std::size_t stride,
+                            const OperandPlanes& dst) const override {
+        encode_elementwise(activations, stride, dst, [&](double v, double* out, std::size_t) {
+            *out = cell_.encode_activation(v);
+        });
+    }
+    void convert_tile(const TileSums& t, Rng& rng, float* out) const override {
+        convert_stream(
+            t, out,
+            [&](std::size_t c, std::size_t pixel, double&) {
+                if (t.sums != nullptr) return cell_.convert_sum(t.sum(c, 0, pixel), rng);
+                const std::size_t k0 = t.chunk_start(c);
+                const double sum = analog_sum(
+                    t.chunk_len(c), [&](std::size_t i) { return t.w.value(0, k0 + i, 0); },
+                    [&](std::size_t i) { return t.x.value(0, k0 + i, pixel); },
+                    cell_.analog().multiplier_noise_sigma, rng);
+                return cell_.convert_sum(sum, rng);
+            },
+            no_final_term);
+    }
+    void count_conversions(std::uint64_t chunks, std::uint64_t /*outputs*/) const override {
+        count_chunks(kind_ == BackendKind::kBitExact
+                         ? runtime::metrics::Counter::kAdcConversionsBitExact
+                         : runtime::metrics::Counter::kAdcConversionsReferenceScaled,
+                     chunks, chunks);
+    }
+
+    [[nodiscard]] BackendKind kind() const override { return kind_; }
     [[nodiscard]] std::size_t conversions_per_vmac() const override { return 1; }
     [[nodiscard]] ConversionProfile conversion_profile() const override {
         return {{cell_.config().enob, 1.0, 0.0}};
     }
-    /// Composite cell ENOB: quantization plus thermal noise.
+    /// Composite cell ENOB: quantization plus thermal noise. A reference
+    /// scale s < 1 raises it by -log2(s): the clip-free optimum. The
+    /// data-dependent clipping penalty is what sweep_reference_scales /
+    /// bench_ext_reference_scaling measure empirically.
     [[nodiscard]] double effective_enob(std::size_t /*chunks_per_output*/) const override {
         return cell_.effective_enob();
     }
     [[nodiscard]] std::unique_ptr<VmacBackend> clone() const override {
-        return std::make_unique<BitExactBackend>(cell_.config(), cell_.analog());
+        return std::make_unique<CellBackend>(kind_, cell_.config(), base_analog_, scale_);
     }
     [[nodiscard]] const VmacConfig& config() const override { return cell_.config(); }
 
 private:
+    static AnalogOptions scaled(AnalogOptions analog, double reference_scale) {
+        analog.reference_scale *= reference_scale;
+        return analog;
+    }
+
+    BackendKind kind_;
     VmacCell cell_;
+    AnalogOptions base_analog_;  ///< pre-scaling options, for clone()
+    double scale_;
 };
 
 /// Exact digital partial sums + one uniform(-LSB/2, LSB/2) draw per chunk:
@@ -139,13 +230,34 @@ public:
         if (weights.size() != activations.size() || weights.size() > cell_.config().nmult) {
             throw std::invalid_argument("PerVmacNoiseBackend: bad operand count");
         }
-        count_chunk(runtime::metrics::Counter::kAdcConversionsPerVmacNoise);
-        double partial = 0.0;
-        for (std::size_t i = 0; i < weights.size(); ++i) {
-            partial += weights[i] * activations[i];
-        }
-        const double lsb = cell_.adc_lsb();
-        return partial + rng.uniform(-0.5 * lsb, 0.5 * lsb);
+        count_conversions(1, 0);
+        const double partial = analog_sum(
+            weights.size(), [&](std::size_t i) { return weights[i]; },
+            [&](std::size_t i) { return activations[i]; }, /*noise_sigma=*/0.0, rng);
+        return convert(partial, rng);
+    }
+
+    /// Operands stay unquantized; exact sums, so stage 2 always applies.
+    [[nodiscard]] OperandLayout operand_layout() const override { return {}; }
+    void encode_weights(const double* weights, const OperandPlanes& dst) override {
+        encode_elementwise(weights, 1, dst,
+                           [](double v, double* out, std::size_t) { *out = v; });
+    }
+    void encode_activations(const float* activations, std::size_t stride,
+                            const OperandPlanes& dst) const override {
+        encode_elementwise(activations, stride, dst,
+                           [](double v, double* out, std::size_t) { *out = v; });
+    }
+    void convert_tile(const TileSums& t, Rng& rng, float* out) const override {
+        convert_stream(
+            t, out,
+            [&](std::size_t c, std::size_t pixel, double&) {
+                return convert(t.sum(c, 0, pixel), rng);
+            },
+            no_final_term);
+    }
+    void count_conversions(std::uint64_t chunks, std::uint64_t /*outputs*/) const override {
+        count_chunks(runtime::metrics::Counter::kAdcConversionsPerVmacNoise, chunks, chunks);
     }
 
     [[nodiscard]] BackendKind kind() const override { return BackendKind::kPerVmacNoise; }
@@ -163,6 +275,12 @@ public:
     [[nodiscard]] const VmacConfig& config() const override { return cell_.config(); }
 
 private:
+    /// The chunk's digital term: its exact partial sum plus the draw.
+    double convert(double partial, Rng& rng) const {
+        const double lsb = cell_.adc_lsb();
+        return partial + rng.uniform(-0.5 * lsb, 0.5 * lsb);
+    }
+
     VmacCell cell_;  ///< supplies the validated config and the ADC LSB
 };
 
@@ -174,9 +292,52 @@ public:
 
     double accumulate(std::span<const double> weights, std::span<const double> activations,
                       Rng& rng) override {
-        count_chunk(runtime::metrics::Counter::kAdcConversionsPartitioned,
-                    vmac_.conversions_per_vmac());
+        count_conversions(1, 0);
         return vmac_.dot(weights, activations, rng);
+    }
+
+    [[nodiscard]] OperandLayout operand_layout() const override {
+        return {vmac_.options().nw, vmac_.options().nx, false,
+                vmac_.options().analog.multiplier_noise_sigma > 0.0};
+    }
+    void encode_weights(const double* weights, const OperandPlanes& dst) override {
+        encode_elementwise(weights, 1, dst, [&](double v, double* out, std::size_t stride) {
+            vmac_.encode_weight(v, out, stride);
+        });
+    }
+    void encode_activations(const float* activations, std::size_t stride,
+                            const OperandPlanes& dst) const override {
+        encode_elementwise(activations, stride, dst,
+                           [&](double v, double* out, std::size_t plane_stride) {
+                               vmac_.encode_activation(v, out, plane_stride);
+                           });
+    }
+    void convert_tile(const TileSums& t, Rng& rng, float* out) const override {
+        const std::size_t pixels = t.pixels();
+        convert_stream(
+            t, out,
+            [&](std::size_t c, std::size_t pixel, double&) {
+                if (t.sums != nullptr) {
+                    const double* sums = &t.sums[c * t.pairs * pixels + pixel];
+                    return vmac_.convert_partials(
+                        [&](std::size_t, std::size_t, std::size_t pq) { return sums[pq * pixels]; },
+                        rng);
+                }
+                const std::size_t k0 = t.chunk_start(c);
+                return vmac_.convert_partials(
+                    [&](std::size_t p, std::size_t q, std::size_t) {
+                        return analog_sum(
+                            t.chunk_len(c), [&](std::size_t i) { return t.w.value(p, k0 + i, 0); },
+                            [&](std::size_t i) { return t.x.value(q, k0 + i, pixel); },
+                            vmac_.options().analog.multiplier_noise_sigma, rng);
+                    },
+                    rng);
+            },
+            no_final_term);
+    }
+    void count_conversions(std::uint64_t chunks, std::uint64_t /*outputs*/) const override {
+        count_chunks(runtime::metrics::Counter::kAdcConversionsPartitioned, chunks,
+                     chunks * vmac_.conversions_per_vmac());
     }
 
     [[nodiscard]] BackendKind kind() const override { return BackendKind::kPartitioned; }
@@ -216,13 +377,39 @@ public:
 
     double accumulate(std::span<const double> weights, std::span<const double> activations,
                       Rng& rng) override {
-        count_chunk(runtime::metrics::Counter::kAdcConversionsDeltaSigma);
+        count_conversions(1, 0);
         return vmac_.accumulate(weights, activations, rng);
     }
     double finish_output(Rng& rng) override {
         // The one extra high-resolution conversion per output accumulator.
-        runtime::metrics::add(runtime::metrics::Counter::kAdcConversionsDeltaSigma);
+        count_conversions(0, 1);
         return vmac_.finalize(rng);
+    }
+
+    /// Multiplier noise enters after the ideal sum, so stage 2 always applies.
+    [[nodiscard]] OperandLayout operand_layout() const override { return {}; }
+    void encode_weights(const double* weights, const OperandPlanes& dst) override {
+        encode_elementwise(weights, 1, dst, [&](double v, double* out, std::size_t) {
+            *out = vmac_.cell().encode_weight(v);
+        });
+    }
+    void encode_activations(const float* activations, std::size_t stride,
+                            const OperandPlanes& dst) const override {
+        encode_elementwise(activations, stride, dst, [&](double v, double* out, std::size_t) {
+            *out = vmac_.cell().encode_activation(v);
+        });
+    }
+    void convert_tile(const TileSums& t, Rng& rng, float* out) const override {
+        convert_stream(
+            t, out,
+            [&](std::size_t c, std::size_t pixel, double& residual) {
+                return vmac_.cycle(t.sum(c, 0, pixel), t.chunk_len(c), residual, rng);
+            },
+            [&](double residual) { return vmac_.final_conversion(residual, rng); });
+    }
+    void count_conversions(std::uint64_t chunks, std::uint64_t outputs) const override {
+        count_chunks(runtime::metrics::Counter::kAdcConversionsDeltaSigma, chunks,
+                     chunks + outputs);
     }
 
     [[nodiscard]] BackendKind kind() const override { return BackendKind::kDeltaSigma; }
@@ -248,52 +435,6 @@ private:
     AnalogOptions analog_;  ///< kept for clone(); DeltaSigmaVmac doesn't expose it
 };
 
-/// Sec. 4 method 3: bit-exact cell with the ADC reference shrunk below
-/// the natural full scale (finer LSBs, MSBs clip).
-class ReferenceScaledBackend final : public VmacBackend {
-public:
-    ReferenceScaledBackend(const VmacConfig& config, const AnalogOptions& analog,
-                           double reference_scale)
-        : cell_(config, scaled(analog, reference_scale)),
-          base_analog_(analog),
-          scale_(reference_scale) {}
-
-    double accumulate(std::span<const double> weights, std::span<const double> activations,
-                      Rng& rng) override {
-        count_chunk(runtime::metrics::Counter::kAdcConversionsReferenceScaled);
-        return cell_.dot(weights, activations, rng);
-    }
-
-    [[nodiscard]] BackendKind kind() const override { return BackendKind::kReferenceScaled; }
-    [[nodiscard]] std::size_t conversions_per_vmac() const override { return 1; }
-    [[nodiscard]] ConversionProfile conversion_profile() const override {
-        return {{cell_.config().enob, 1.0, 0.0}};
-    }
-    /// Clip-free equivalent: the finer LSB raises the composite cell ENOB
-    /// by -log2(scale). The data-dependent clipping penalty is what
-    /// sweep_reference_scales / bench_ext_reference_scaling measure
-    /// empirically — this analytic number is the no-clip optimum.
-    [[nodiscard]] double effective_enob(std::size_t /*chunks_per_output*/) const override {
-        return cell_.effective_enob();
-    }
-    [[nodiscard]] std::unique_ptr<VmacBackend> clone() const override {
-        return std::make_unique<ReferenceScaledBackend>(cell_.config(), base_analog_, scale_);
-    }
-    [[nodiscard]] const VmacConfig& config() const override { return cell_.config(); }
-
-    [[nodiscard]] double reference_scale() const { return scale_; }
-
-private:
-    static AnalogOptions scaled(AnalogOptions analog, double reference_scale) {
-        analog.reference_scale *= reference_scale;
-        return analog;
-    }
-
-    VmacCell cell_;
-    AnalogOptions base_analog_;  ///< pre-scaling options, for clone()
-    double scale_;
-};
-
 /// Adaptive block floating-point datapath: shared per-chunk exponents,
 /// exact integer mantissa dot, one ADC conversion per chunk.
 class BlockFpBackend final : public VmacBackend {
@@ -304,8 +445,41 @@ public:
 
     double accumulate(std::span<const double> weights, std::span<const double> activations,
                       Rng& rng) override {
-        count_chunk(runtime::metrics::Counter::kAdcConversionsBlockFp);
+        count_conversions(1, 0);
         return vmac_.dot(weights, activations, rng);
+    }
+
+    [[nodiscard]] OperandLayout operand_layout() const override {
+        return {1, 1, true, vmac_.analog().multiplier_noise_sigma > 0.0};
+    }
+    void encode_weights(const double* weights, const OperandPlanes& dst) override {
+        encode_blocks(weights, 1, dst, [&](const double* w, std::size_t len, std::size_t s) {
+            return vmac_.weight_quantum(w, len, s);
+        });
+    }
+    void encode_activations(const float* activations, std::size_t stride,
+                            const OperandPlanes& dst) const override {
+        encode_blocks(activations, stride, dst,
+                      [&](const float* x, std::size_t len, std::size_t s) {
+                          return vmac_.activation_quantum(x, len, s);
+                      });
+    }
+    void convert_tile(const TileSums& t, Rng& rng, float* out) const override {
+        convert_stream(
+            t, out,
+            [&](std::size_t c, std::size_t pixel, double&) {
+                if (t.sums != nullptr) return vmac_.convert_sum(t.sum(c, 0, pixel), rng);
+                const std::size_t k0 = t.chunk_start(c);
+                const double sum = vmac_.analog_sum(
+                    t.chunk_len(c), [&](std::size_t i) { return t.w.mantissa(k0 + i, 0); },
+                    [&](std::size_t i) { return t.x.mantissa(k0 + i, pixel); },
+                    t.w.quantum(c, 0) * t.x.quantum(c, pixel), rng);
+                return vmac_.convert_sum(sum, rng);
+            },
+            no_final_term);
+    }
+    void count_conversions(std::uint64_t chunks, std::uint64_t /*outputs*/) const override {
+        count_chunks(runtime::metrics::Counter::kAdcConversionsBlockFp, chunks, chunks);
     }
 
     [[nodiscard]] BackendKind kind() const override { return BackendKind::kBlockFp; }
@@ -325,6 +499,26 @@ public:
     [[nodiscard]] const VmacConfig& config() const override { return vmac_.config(); }
 
 private:
+    /// Stage 1: per chunk and column, the block quantum over the chunk's
+    /// rows, then every operand's mantissa on it.
+    template <typename T, typename Quantum>
+    void encode_blocks(const T* src, std::size_t stride, const OperandPlanes& dst,
+                       Quantum&& quantum) const {
+        const std::size_t nmult = vmac_.config().nmult;
+        for (std::size_t k0 = 0, c = 0; k0 < dst.rows; k0 += nmult, ++c) {
+            const std::size_t len = std::min(nmult, dst.rows - k0);
+            for (std::size_t col = 0; col < dst.cols; ++col) {
+                const T* first = src + k0 * stride + col;
+                const double q = quantum(first, len, stride);
+                dst.quanta[c * dst.cols + col] = q;
+                for (std::size_t i = 0; i < len; ++i) {
+                    dst.mantissas[(k0 + i) * dst.cols + col] =
+                        BlockFpVmac::mantissa(static_cast<double>(first[i * stride]), q);
+                }
+            }
+        }
+    }
+
     BlockFpVmac vmac_;
 };
 
@@ -337,7 +531,7 @@ std::unique_ptr<VmacBackend> make_bare_backend(const VmacConfig& config,
                                                const BackendOptions& options) {
     switch (options.kind) {
         case BackendKind::kBitExact:
-            return std::make_unique<BitExactBackend>(config, analog);
+            return std::make_unique<CellBackend>(BackendKind::kBitExact, config, analog, 1.0);
         case BackendKind::kPerVmacNoise:
             return std::make_unique<PerVmacNoiseBackend>(config, analog);
         case BackendKind::kPartitioned: {
@@ -356,8 +550,8 @@ std::unique_ptr<VmacBackend> make_bare_backend(const VmacConfig& config,
                 throw std::invalid_argument(
                     "make_backend: reference_scale must be positive");
             }
-            return std::make_unique<ReferenceScaledBackend>(config, analog,
-                                                            options.reference_scale);
+            return std::make_unique<CellBackend>(BackendKind::kReferenceScaled, config, analog,
+                                                 options.reference_scale);
         case BackendKind::kBlockFp: {
             // Default mantissa budget: the cell's sign-magnitude codecs
             // spend bits - 1 on magnitude; match that per operand.

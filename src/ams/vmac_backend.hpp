@@ -5,21 +5,33 @@
 // standalone dot-product simulators measured only by microbenches, while
 // the network-level pipeline (VmacConv2d -> ENOB sweeps -> Fig. 8 map)
 // was hard-wired to the plain VmacCell. This interface closes that gap:
-// every datapath computes one VMAC-sized chunk of a dot product through
-// the same seam and reports its conversion costs, so the conv engine, the
+// every datapath computes VMAC-sized chunks of a dot product through the
+// same seam and reports its conversion costs, so the conv engine, the
 // experiment sweeps, and the energy accountant are all backend-generic.
 //
-// Contract:
-//  - accumulate() consumes one chunk (<= Nmult operand pairs) and returns
-//    the digital term to add to the output accumulator. Stateful backends
-//    (delta-sigma) carry residual state between successive chunks of the
-//    SAME output accumulator — callers must stream one output's chunks
-//    contiguously (output stationarity, paper Sec. 4).
-//  - finish_output() flushes any carried state at the end of one output's
-//    chunk stream and returns the final digital term (0 for stateless
-//    backends, the high-resolution final conversion for delta-sigma).
-//  - clone() yields a fresh-state copy; parallel engines clone one
-//    backend per worker so per-output state never crosses threads.
+// A backend offers its datapath twice over the same pieces:
+//  - Per chunk: accumulate() consumes one chunk (<= Nmult operand pairs)
+//    and returns the digital term to add to the output accumulator.
+//    Stateful backends (delta-sigma) carry residual state between
+//    successive chunks of the SAME output accumulator — callers must
+//    stream one output's chunks contiguously (output stationarity, paper
+//    Sec. 4). finish_output() flushes that state at the end of one
+//    output's chunk stream and returns the final digital term (0 for
+//    stateless backends, the high-resolution final conversion for
+//    delta-sigma).
+//  - Per layer, in the three stages VmacConv2d runs (DESIGN.md §9):
+//    encode_weights()/encode_activations() encode every operand once
+//    into operand planes (no RNG); the engine sums each chunk for a block
+//    of output pixels at once (no RNG); convert_tile() then applies the
+//    conversions in (pixel, chunk) order with the tile's Rng — the same
+//    draws, in the same order, as the per-chunk stream. These calls keep
+//    no per-output state in the backend, so one backend serves every
+//    worker of a parallel forward pass.
+//  - clone() yields a fresh-state copy for callers that drive
+//    accumulate() from several threads.
+#pragma once
+
+#include <cstdint>
 #pragma once
 
 #include <memory>
@@ -67,6 +79,65 @@ struct ConversionCost {
 };
 using ConversionProfile = std::vector<ConversionCost>;
 
+/// How a backend's stage 1 lays out its encoded operands.
+struct OperandLayout {
+    std::size_t weight_planes = 1;  ///< value planes per weight (NW slices when partitioned)
+    std::size_t act_planes = 1;     ///< value planes per activation (NX slices when partitioned)
+    /// Block floating point: int32 mantissas plus one quantum per (chunk,
+    /// column) in place of value planes.
+    bool mantissas = false;
+    /// Multiplier noise enters inside each analog sum, so stage 2 cannot
+    /// precompute it: stage 3 forms every chunk's sum from the operands,
+    /// with its draws.
+    bool sums_per_chunk = false;
+
+    /// Analog partial sums per chunk: one per (weight plane, activation plane).
+    [[nodiscard]] std::size_t pairs() const { return weight_planes * act_planes; }
+};
+
+/// Encoded operands of a rows x cols block. Rows run along the dot product
+/// (chunk c holds rows [c * Nmult, min((c + 1) * Nmult, rows))); columns
+/// are output pixels (one for an out-channel's weights).
+struct OperandPlanes {
+    double* values = nullptr;           ///< [plane][row][col]
+    std::int32_t* mantissas = nullptr;  ///< [row][col] (OperandLayout::mantissas)
+    double* quanta = nullptr;           ///< [chunk][col] (OperandLayout::mantissas)
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+
+    [[nodiscard]] double value(std::size_t plane, std::size_t row, std::size_t col) const {
+        return values[(plane * rows + row) * cols + col];
+    }
+    [[nodiscard]] std::int32_t mantissa(std::size_t row, std::size_t col) const {
+        return mantissas[row * cols + col];
+    }
+    [[nodiscard]] double quantum(std::size_t chunk, std::size_t col) const {
+        return quanta[chunk * cols + col];
+    }
+};
+
+/// Stage 3's input for one tile: the output pixels (activation columns)
+/// of one (image, out-channel) pair, their encoded operands and, unless
+/// OperandLayout::sums_per_chunk, their stage-2 analog sums.
+struct TileSums {
+    const double* sums = nullptr;     ///< [chunk][pair][pixel], pair = p * act_planes + q
+    OperandPlanes w;                  ///< the out-channel's weights (cols = 1)
+    OperandPlanes x;                  ///< the pixels' activations (cols = pixels)
+    const double* offsets = nullptr;  ///< per-cell output offsets [chunk], or null
+    std::size_t nmult = 0;
+    std::size_t chunks = 0;
+    std::size_t pairs = 1;
+
+    [[nodiscard]] std::size_t pixels() const { return x.cols; }
+    [[nodiscard]] std::size_t chunk_start(std::size_t c) const { return c * nmult; }
+    [[nodiscard]] std::size_t chunk_len(std::size_t c) const {
+        return std::min(nmult, w.rows - c * nmult);
+    }
+    [[nodiscard]] double sum(std::size_t c, std::size_t pair, std::size_t pixel) const {
+        return sums[(c * pairs + pair) * x.cols + pixel];
+    }
+};
+
 /// Abstract AMS datapath: computes chunk contributions and reports cost.
 class VmacBackend {
 public:
@@ -83,6 +154,31 @@ public:
         (void)rng;
         return 0.0;
     }
+
+    // ----- the engine's stages -----
+
+    /// Operand planes stage 1 writes and stage 2 sums.
+    [[nodiscard]] virtual OperandLayout operand_layout() const = 0;
+
+    /// Stage 1 (no RNG): encodes one out-channel's `dst.rows` weights
+    /// (dst.cols == 1). Not const: a decorator may cache per-cell state
+    /// here, serially, before the tiles run.
+    virtual void encode_weights(const double* weights, const OperandPlanes& dst) = 0;
+
+    /// Stage 1 (no RNG): encodes `dst.rows` x `dst.cols` lowered
+    /// activations; row r starts at `activations + r * stride`.
+    virtual void encode_activations(const float* activations, std::size_t stride,
+                                    const OperandPlanes& dst) const = 0;
+
+    /// Stage 3: converts every pixel of a tile, pixel by pixel and chunk by
+    /// chunk, drawing from `rng` in that order; writes out[pixel]. Each
+    /// pixel's value and draws equal the accumulate()/finish_output()
+    /// stream over its chunks.
+    virtual void convert_tile(const TileSums& tile, Rng& rng, float* out) const = 0;
+
+    /// Adds `chunks` converted chunks and `outputs` finished output
+    /// accumulators to the conversion ledger (runtime/metrics.hpp).
+    virtual void count_conversions(std::uint64_t chunks, std::uint64_t outputs) const = 0;
 
     [[nodiscard]] virtual BackendKind kind() const = 0;
     [[nodiscard]] std::string name() const { return backend_kind_name(kind()); }
@@ -111,10 +207,10 @@ public:
     /// lazily materialized device realizations, and any RNG state. Two
     /// clones fed identical chunk streams (with independently seeded
     /// Rngs) must produce bit-identical outputs, and activity on one
-    /// clone must never perturb another: parallel engines clone one
-    /// backend per worker and rely on this isolation for thread-count
-    /// invariance. make_backend() asserts the property in debug builds
-    /// via verify_clone_isolation().
+    /// clone must never perturb another: callers that stream chunks from
+    /// several threads clone one backend per thread and rely on this
+    /// isolation. make_backend() asserts the property in debug builds via
+    /// verify_clone_isolation().
     [[nodiscard]] virtual std::unique_ptr<VmacBackend> clone() const = 0;
 
     [[nodiscard]] virtual const VmacConfig& config() const = 0;

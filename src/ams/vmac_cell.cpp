@@ -64,7 +64,7 @@ double VmacCell::dot_ideal(std::span<const double> weights,
     check_operands(weights, activations, config_.nmult);
     double acc = 0.0;
     for (std::size_t i = 0; i < weights.size(); ++i) {
-        acc += weight_codec_.quantize(weights[i]) * act_codec_.quantize(activations[i]);
+        acc += encode_weight(weights[i]) * encode_activation(activations[i]);
     }
     return acc;
 }
@@ -72,23 +72,11 @@ double VmacCell::dot_ideal(std::span<const double> weights,
 double VmacCell::dot(std::span<const double> weights, std::span<const double> activations,
                      Rng& rng) const {
     check_operands(weights, activations, config_.nmult);
-    double analog_sum = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        double product = weight_codec_.quantize(weights[i]) * act_codec_.quantize(activations[i]);
-        if (analog_.multiplier_noise_sigma > 0.0) {
-            product += rng.normal(0.0, analog_.multiplier_noise_sigma);
-        }
-        analog_sum += product;
-    }
-    const bool averaging = config_.accumulation == Accumulation::kAverage;
-    if (averaging) analog_sum /= static_cast<double>(config_.nmult);
-    if (analog_.adc_noise_sigma > 0.0) {
-        analog_sum += rng.normal(0.0, analog_.adc_noise_sigma);
-    }
-    const double digital = convert(analog_sum);
-    // Averaging hardware: the digital output is the average; the digital
-    // interpretation scales it back up by Nmult (Sec. 2).
-    return averaging ? digital * static_cast<double>(config_.nmult) : digital;
+    const double sum = analog_sum(
+        weights.size(), [&](std::size_t i) { return encode_weight(weights[i]); },
+        [&](std::size_t i) { return encode_activation(activations[i]); },
+        analog_.multiplier_noise_sigma, rng);
+    return convert_sum(sum, rng);
 }
 
 double VmacCell::dot_tiled(std::span<const double> weights,

@@ -32,6 +32,39 @@ struct AnalogOptions {
     double reference_scale = 1.0;
 };
 
+/// Analog sum of `len` multiplier outputs: the products
+/// `weight(i) * activation(i)` of encoded operands, added in ascending i
+/// starting from 0, each with the multiplier's thermal noise of std-dev
+/// `noise_sigma` when it is positive (drawn in that order). Shared by the
+/// cell and the partitioned datapath's partial VMACs.
+template <typename Weight, typename Activation>
+[[nodiscard]] double analog_sum(std::size_t len, Weight&& weight, Activation&& activation,
+                                double noise_sigma, Rng& rng) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < len; ++i) {
+        double product = weight(i) * activation(i);
+        if (noise_sigma > 0.0) product += rng.normal(0.0, noise_sigma);
+        sum += product;
+    }
+    return sum;
+}
+
+/// The conversion that ends a chunk of every single-ADC datapath (the
+/// cell, block floating point): the averaging division, ADC thermal
+/// noise, clip + quantize on `adc`, and the digital rescale of averaging
+/// hardware (Sec. 2).
+[[nodiscard]] inline double convert_chunk_sum(double analog_sum, const AdcQuantizer& adc,
+                                              const VmacConfig& config,
+                                              const AnalogOptions& analog, Rng& rng) {
+    const bool averaging = config.accumulation == Accumulation::kAverage;
+    if (averaging) analog_sum /= static_cast<double>(config.nmult);
+    if (analog.adc_noise_sigma > 0.0) {
+        analog_sum += rng.normal(0.0, analog.adc_noise_sigma);
+    }
+    const double digital = adc.convert(analog_sum);
+    return averaging ? digital * static_cast<double>(config.nmult) : digital;
+}
+
 /// One AMS vector multiply-accumulate cell.
 class VmacCell {
 public:
@@ -51,6 +84,19 @@ public:
     /// Composite effective ENOB accounting for quantization plus thermal
     /// noise (variance sum), per the standard ENOB definition.
     [[nodiscard]] double effective_enob() const;
+
+    // ----- the datapath's pieces (VmacConv2d runs them stage by stage) -----
+
+    /// Stage-1 operand encodings: the BW-bit (weights) or BX-bit
+    /// (activations) sign-magnitude value nearest to a real operand.
+    [[nodiscard]] double encode_weight(double w) const { return weight_codec_.quantize(w); }
+    [[nodiscard]] double encode_activation(double x) const { return act_codec_.quantize(x); }
+
+    /// Stage 3: digital output for one chunk's analog sum
+    /// (convert_chunk_sum on the cell's converter).
+    [[nodiscard]] double convert_sum(double analog_sum, Rng& rng) const {
+        return convert_chunk_sum(analog_sum, quantizer_, config_, analog_, rng);
+    }
 
     /// Computes the cell's digital output for `nmult` (or fewer) operand
     /// pairs. Values are encoded to BW / BX-bit sign-magnitude first, so

@@ -11,11 +11,22 @@
 // This module does exactly that: it lowers the convolution with im2col,
 // slices each output activation's N_tot products into ceil(N_tot/Nmult)
 // VMAC-sized chunks, pushes every chunk through a pluggable VmacBackend
-// datapath (bit-exact cell, per-VMAC noise, partitioned, delta-sigma, or
-// reference-scaled — see ams/vmac_backend.hpp), and sums the digital
-// outputs. Chunks of one output activation are streamed contiguously, so
-// stateful backends (delta-sigma) see the output stationarity they
-// require. It is evaluation-only, as the paper suggests.
+// datapath (bit-exact cell, per-VMAC noise, partitioned, delta-sigma,
+// reference-scaled or block floating point — see ams/vmac_backend.hpp),
+// and sums the digital outputs. It is evaluation-only, as the paper
+// suggests.
+//
+// A pass runs each chunk in three stages (DESIGN.md §9):
+//  1. encode (no RNG): the backend encodes every weight once per
+//     (out-channel, k) and every lowered activation once per (k, pixel)
+//     into operand planes;
+//  2. sum (no RNG): per (image, out-channel) tile, every chunk's analog
+//     partial sum for a block of output pixels at once, one lane per
+//     pixel, each lane in the datapath's scalar order;
+//  3. convert: per tile, in (pixel, chunk) order with the tile's Rng, the
+//     backend's conversions — the draws, in the order, of streaming each
+//     output's chunks through accumulate(), so stateful backends
+//     (delta-sigma) see the output stationarity they require.
 #pragma once
 
 #include <memory>
@@ -38,7 +49,8 @@ public:
     /// noise streams: every (image, out-channel) tile of every forward
     /// pass draws from its own derived generator, so outputs are
     /// bit-identical at any AMSNET_THREADS. Throws std::invalid_argument
-    /// on shape/config mismatch.
+    /// on shape/config mismatch. Operands are encoded inside each pass,
+    /// not here.
     VmacConv2d(Tensor weight, std::size_t stride, std::size_t padding,
                const VmacConfig& config, const AnalogOptions& analog,
                const BackendOptions& backend, Rng rng);
@@ -62,25 +74,16 @@ public:
 
     /// The compiled plan's eval entry point: runs one forward pass over
     /// `input` (laid out as `in_shape`) into the caller-provided `out`
-    /// buffer, with its column and staging scratch reserved from `ctx`.
-    /// Consumes one noise epoch; arithmetic and tile/stream mapping are
-    /// those of forward(input), so plan logits stay bit-identical to it.
+    /// buffer, with all of its scratch reserved from `ctx` (per region
+    /// executor where it is per worker), so a steady-state pass allocates
+    /// nothing. Consumes one noise epoch. forward(input) runs this same
+    /// body on a pass-local context, so plan logits are bit-identical to it.
     void forward_planned(const float* input, const Shape& in_shape, float* out,
                          runtime::EvalContext& ctx);
 
 private:
     /// Validates the input shape and builds the shared lowering for it.
     [[nodiscard]] ConvLowering make_lowering(const Shape& in) const;
-
-    /// Runs tiles [t_begin, t_end) of one forward pass: reads the lowered
-    /// `columns`, writes `out`. `w_chunk`/`x_chunk` are caller-provided
-    /// nmult-double staging buffers (per-chunk scratch), so the identical
-    /// arithmetic serves both forward() and forward_planned(). Clones
-    /// the backend once per call: per-output state stays worker-local.
-    void compute_tiles(std::size_t t_begin, std::size_t t_end,
-                       const runtime::RngStream& pass_streams, const float* columns,
-                       std::size_t out_spatial, std::size_t patch, double* w_chunk,
-                       double* x_chunk, float* out);
 
     Tensor weight_;
     std::size_t stride_;

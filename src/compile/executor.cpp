@@ -270,15 +270,15 @@ void run_conv_int(const Step& step, const float* in, float* out, std::size_t bat
     const bool pointwise = geo.kernel_h == 1 && geo.kernel_w == 1 && geo.stride_h == 1 &&
                            geo.stride_w == 1 && geo.pad_h == 0 && geo.pad_w == 0;
 
-    // Serial reservations, then the same batch-chunk structure as
-    // conv_eval_run with the integer slot namespace.
+    // Serial reservations, then the same batch-chunk structure and
+    // per-executor scratch as conv_eval_run, in the integer slot namespace.
     const std::size_t grain = runtime::suggest_grain(batch, 1);
-    const std::size_t n_chunks = (batch + grain - 1) / grain;
+    const std::size_t executors = runtime::region_executors((batch + grain - 1) / grain);
     const std::size_t col_floats = (patch * out_spatial * code_bytes + 3) / 4;
     const std::size_t panel_floats = is8 ? packed_b_i8_floats(patch, out_spatial)
                                          : packed_b_i16_floats(patch, out_spatial);
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-        const int base = kIntSlotBase + static_cast<int>(4 * c);
+    for (std::size_t e = 0; e < executors; ++e) {
+        const int base = kIntSlotBase + static_cast<int>(4 * e);
         if (!pointwise) (void)ctx.reserve_scratch(step.scratch_owner, base + 3, col_floats);
         (void)ctx.reserve_scratch(step.scratch_owner, base + GemmPackBuffers::kPackB,
                                   panel_floats);
@@ -286,7 +286,7 @@ void run_conv_int(const Step& step, const float* in, float* out, std::size_t bat
     }
     ConvTailEpilogue epilogue{&step, split.n_inloop, out_spatial};
     runtime::parallel_for(0, batch, grain, [&](std::size_t b_begin, std::size_t b_end) {
-        const int base = kIntSlotBase + static_cast<int>(4 * (b_begin / grain));
+        const int base = kIntSlotBase + static_cast<int>(4 * runtime::executor_index());
         float* col_f = pointwise ? nullptr
                                  : ctx.reserve_scratch(step.scratch_owner, base + 3, col_floats);
         auto* acc = reinterpret_cast<std::int32_t*>(

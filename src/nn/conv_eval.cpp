@@ -7,17 +7,26 @@
 
 namespace ams::nn {
 
-void conv_eval_reserve(runtime::EvalContext& ctx, const void* scratch_owner, std::size_t batch,
-                       std::size_t patch, std::size_t out_spatial) {
-    const std::size_t grain = runtime::suggest_grain(batch, 1);
-    const std::size_t n_chunks = (batch + grain - 1) / grain;
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-        const int base = static_cast<int>(4 * c);
+namespace {
+
+/// Reserves the eval scratch (im2col columns + GEMM pack buffers) of
+/// `executors` region executors in the context registry, keyed by
+/// `scratch_owner`. Slot layout per executor, base = 4 * executor: the
+/// GemmPackBuffers slots (kPackB = 1, kTranspose = 2) plus the column
+/// buffer at base + 3; kPackA deliberately stays thread-local inside the
+/// kernels. Serial — call before the parallel region; at steady state
+/// every reservation is a pure lookup.
+void conv_eval_reserve(runtime::EvalContext& ctx, const void* scratch_owner,
+                       std::size_t executors, std::size_t patch, std::size_t out_spatial) {
+    for (std::size_t e = 0; e < executors; ++e) {
+        const int base = static_cast<int>(4 * e);
         (void)ctx.reserve_scratch(scratch_owner, base + 3, patch * out_spatial);
         (void)ctx.reserve_scratch(scratch_owner, base + GemmPackBuffers::kPackB,
                                   packed_b_floats(patch, out_spatial));
     }
 }
+
+}  // namespace
 
 void conv_eval_run(const float* input, std::size_t batch, const ConvLowering& low,
                    const float* weight, std::size_t out_channels, float* out,
@@ -30,11 +39,14 @@ void conv_eval_run(const float* input, std::size_t batch, const ConvLowering& lo
 
     // Reservations run serially before the region (re-planning on a shape
     // change, e.g. the last partial batch); inside the region
-    // reserve_scratch is a pure lookup, safe from concurrent chunks.
-    conv_eval_reserve(ctx, scratch_owner, batch, patch, out_spatial);
+    // reserve_scratch is a pure lookup, safe from concurrent executors.
+    // Scratch is per executor, not per chunk: suggest_grain cuts 4 chunks
+    // per executor, and each executor reuses its buffers across them.
     const std::size_t grain = runtime::suggest_grain(batch, 1);
+    conv_eval_reserve(ctx, scratch_owner, runtime::region_executors((batch + grain - 1) / grain),
+                      patch, out_spatial);
     runtime::parallel_for(0, batch, grain, [&](std::size_t b_begin, std::size_t b_end) {
-        const int base = static_cast<int>(4 * (b_begin / grain));
+        const int base = static_cast<int>(4 * runtime::executor_index());
         float* columns = ctx.reserve_scratch(scratch_owner, base + 3, patch * out_spatial);
         EvalContextPackBuffers pack(ctx, scratch_owner, base);
         for (std::size_t b = b_begin; b < b_end; ++b) {

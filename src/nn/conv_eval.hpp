@@ -1,5 +1,5 @@
 // Shared eval-mode convolution executor: im2col + packed GEMM over
-// per-chunk EvalContext scratch. One implementation serves the
+// per-executor EvalContext scratch. One implementation serves the
 // folded-conv path (models/fold.cpp) and the compiled-plan executor
 // (src/compile). It runs the same per-image lowering and GEMM as the
 // eval-mode Conv2d::forward(input), only with its pack buffers in
@@ -19,20 +19,12 @@ namespace ams::nn {
 /// eval hot path must not touch the heap.
 using ConvEpilogueFn = void (*)(void* epilogue_ctx, float* out_image, std::size_t image_index);
 
-/// Reserves the per-chunk eval scratch (im2col columns + GEMM pack
-/// buffers) for a batch of `batch` images in the context registry, keyed
-/// by `scratch_owner`. Slot layout per chunk, base = 4 * chunk: the
-/// GemmPackBuffers slots (kPackB = 1, kTranspose = 2) plus the column
-/// buffer at base + 3; kPackA deliberately stays thread-local inside the
-/// kernels. Serial — call before any parallel region; at steady state
-/// every reservation is a pure lookup.
-void conv_eval_reserve(runtime::EvalContext& ctx, const void* scratch_owner, std::size_t batch,
-                       std::size_t patch, std::size_t out_spatial);
-
 /// Runs one eval-mode convolution: for each image, im2col into the
-/// chunk's column scratch, then out (Cout x OHW) = weight (Cout x patch)
+/// executor's column scratch, then out (Cout x OHW) = weight (Cout x patch)
 /// * columns (patch x OHW) via the packed GEMM, then the optional
-/// epilogue. Chunking depends only on (batch, suggest_grain), and the
+/// epilogue. Column and pack scratch is reserved per region executor
+/// (runtime::executor_index), so its size follows the thread count, not
+/// the batch. Chunking depends only on (batch, suggest_grain), and the
 /// GEMM is row-partition invariant, so results are bit-identical at any
 /// thread count. `out` must hold batch * out_channels * out_spatial
 /// floats and be disjoint from `input`.

@@ -13,24 +13,6 @@ SignMagCodec::SignMagCodec(std::size_t bits) : bits_(bits) {
     full_scale_ = (std::uint32_t{1} << (bits - 1)) - 1;
 }
 
-SignMagCode SignMagCodec::encode(double x) const {
-    const double clamped = std::clamp(x, -1.0, 1.0);
-    const double scaled = std::fabs(clamped) * static_cast<double>(full_scale_);
-    const auto mag = static_cast<std::uint32_t>(std::llround(scaled));
-    SignMagCode code;
-    code.magnitude = std::min(mag, full_scale_);
-    code.negative = (clamped < 0.0) && code.magnitude != 0;
-    return code;
-}
-
-double SignMagCodec::decode(const SignMagCode& code) const {
-    if (code.magnitude > full_scale_) {
-        throw std::invalid_argument("SignMagCodec::decode: magnitude exceeds full scale");
-    }
-    const double v = static_cast<double>(code.magnitude) / static_cast<double>(full_scale_);
-    return code.negative ? -v : v;
-}
-
 std::vector<SignMagCode> SignMagCodec::encode_all(const std::vector<double>& xs) const {
     std::vector<SignMagCode> out;
     out.reserve(xs.size());

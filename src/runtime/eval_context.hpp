@@ -8,7 +8,7 @@
 //   * an *activations* arena — rewound between images/batches, holds the
 //     input batch and the plan's activation block for the pass in flight;
 //   * a *scratch* arena — never rewound, holds per-step workspaces
-//     (im2col columns, GEMM pack panels, VMAC staging) that are reserved
+//     (im2col columns, GEMM pack panels, VMAC operand planes) that are reserved
 //     on the first pass and reused on every subsequent one;
 //   * a scratch registry keyed by (owner, slot) so a step can find its
 //     workspace again without storing raw pointers;

@@ -14,6 +14,28 @@ namespace ams::runtime {
 
 namespace {
 
+/// This thread's executor index in the innermost region it runs chunks of.
+thread_local std::size_t t_executor = 0;
+
+/// Sets the calling thread's executor index for one region's duration.
+class ExecutorScope {
+public:
+    explicit ExecutorScope(std::size_t index) : previous_(t_executor) { t_executor = index; }
+    ~ExecutorScope() { t_executor = previous_; }
+    ExecutorScope(const ExecutorScope&) = delete;
+    ExecutorScope& operator=(const ExecutorScope&) = delete;
+
+private:
+    std::size_t previous_;
+};
+
+/// The one serial-or-parallel decision, shared by parallel_for and
+/// region_executors so scratch sized by the latter always fits.
+bool runs_serially(std::size_t n_chunks) {
+    return n_chunks <= 1 || ThreadPool::global().parallelism() <= 1 ||
+           ThreadPool::in_parallel_region();
+}
+
 struct RegionState {
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -24,6 +46,7 @@ struct RegionState {
 
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
+    std::atomic<std::size_t> executors{0};  // hands out executor indices
     std::atomic<bool> has_error{false};
     std::exception_ptr error;  // guarded by mu
     std::mutex mu;
@@ -36,6 +59,7 @@ struct RegionState {
 /// all of which complete before the issuing parallel_for returns.
 void run_chunks(const std::shared_ptr<RegionState>& state) {
     RegionGuard guard;
+    const ExecutorScope executor(state->executors.fetch_add(1, std::memory_order_relaxed));
     for (;;) {
         const std::size_t c = state->next.fetch_add(1, std::memory_order_relaxed);
         if (c >= state->n_chunks) return;
@@ -75,10 +99,12 @@ void parallel_for_erased(std::size_t begin, std::size_t end, std::size_t grain, 
     const std::size_t n_chunks = (total + grain - 1) / grain;
 
     ThreadPool& pool = ThreadPool::global();
-    if (n_chunks <= 1 || pool.parallelism() <= 1 || ThreadPool::in_parallel_region()) {
+    if (runs_serially(n_chunks)) {
         // Serial fallback: same chunk decomposition, same order, and no
         // heap traffic in off/counters mode (the zero-allocation eval
         // path relies on this; counter adds are lock- and alloc-free).
+        // Its one executor is index 0, also when nested.
+        const ExecutorScope executor(0);
         metrics::add(metrics::Counter::kParallelChunks, n_chunks);
         for (std::size_t c = 0; c < n_chunks; ++c) {
             const std::size_t lo = begin + c * grain;
@@ -111,6 +137,13 @@ void parallel_for_erased(std::size_t begin, std::size_t end, std::size_t grain, 
 }
 
 }  // namespace detail
+
+std::size_t region_executors(std::size_t n_chunks) {
+    if (runs_serially(n_chunks)) return 1;
+    return std::min(ThreadPool::global().parallelism(), n_chunks);
+}
+
+std::size_t executor_index() { return t_executor; }
 
 std::size_t suggest_grain(std::size_t total, std::size_t min_chunk) {
     if (total == 0) return 1;

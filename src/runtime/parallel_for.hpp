@@ -17,6 +17,11 @@
 //     as a (context, function-pointer) pair rather than a std::function,
 //     so hot loops inside the arena-backed eval path stay allocation-free
 //     when the pool is serial or the region is nested.
+//   * Every executor of a region (the caller and each helper) holds one
+//     dense index in [0, region_executors(n_chunks)) for the whole region
+//     (executor_index()). Per-executor scratch keyed by it is never used
+//     by two threads at once, and its count follows the executors, not
+//     the chunks.
 #pragma once
 
 #include <cstddef>
@@ -48,6 +53,17 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain, Body&& 
         const_cast<void*>(static_cast<const void*>(std::addressof(body))),
         [](void* ctx, std::size_t lo, std::size_t hi) { (*static_cast<Fn*>(ctx))(lo, hi); });
 }
+
+/// Executors a parallel_for over `n_chunks` chunks runs on: 1 when it
+/// runs serially (one chunk, a serial pool, or nested inside another
+/// region), else min(pool parallelism, n_chunks). Sizes per-executor
+/// scratch; call it on the thread that will call parallel_for.
+[[nodiscard]] std::size_t region_executors(std::size_t n_chunks);
+
+/// Index, in [0, region_executors(n_chunks)), of the executor running the
+/// calling chunk of the innermost region; 0 outside any region. Constant
+/// for every chunk one executor runs, so it keys per-executor scratch.
+[[nodiscard]] std::size_t executor_index();
 
 /// Grain that yields ~4 chunks per executor (enough slack for stealing to
 /// balance uneven chunks), floored at `min_chunk` so tiny ranges are not

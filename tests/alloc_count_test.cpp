@@ -11,8 +11,11 @@
 #include <new>
 #include <vector>
 
+#include "ams/vmac_conv.hpp"
 #include "compile/plan.hpp"
 #include "models/resnet.hpp"
+#include "nn/activations.hpp"
+#include "nn/sequential.hpp"
 #include "runtime/eval_context.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/gemm.hpp"
@@ -113,6 +116,61 @@ TEST(AllocCountTest, SteadyStateEvalForwardIsAllocationFree) {
     runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
 
     EXPECT_EQ(allocs, 0u) << "steady-state ExecutionPlan::run must not touch the heap";
+}
+
+TEST(AllocCountTest, SteadyStateVmacConvPlanIsAllocationFree) {
+    // The kVmacConv step: VmacConv2d::forward_planned takes its columns,
+    // operand planes, parked tile generators and stage-2 sums from the
+    // EvalContext, so after warm-up every datapath (bare, and under a
+    // chip's device variation) runs without touching the heap.
+    runtime::ThreadPool::set_global_threads(1);
+    vmac::VmacConfig cfg;
+    cfg.enob = 6.0;
+    cfg.nmult = 8;
+    cfg.bits_w = 9;  // 8 magnitude bits split evenly for partitioning
+    cfg.bits_x = 9;
+    Rng rng(5);
+    Tensor w(Shape{4, 3, 3, 3});
+    w.fill_uniform(rng, -1.0f, 1.0f);
+    Tensor x(Shape{2, 3, 6, 6});
+    x.fill_uniform(rng, 0.0f, 1.0f);
+    vmac::DeviceProfile chip;
+    chip.chip_seed = 3;
+    chip.cell_offset_sigma = 0.02;
+    chip.drift_nu = 0.05;
+    chip.drift_time = 10.0;
+    chip.ir_drop_alpha = 0.05;
+
+    for (vmac::BackendKind kind : vmac::all_backend_kinds()) {
+        for (const bool varied : {false, true}) {
+            vmac::BackendOptions bopts;
+            bopts.kind = kind;
+            if (varied) bopts.variation = chip;
+            SCOPED_TRACE(bopts.str());
+            nn::Sequential seq;
+            seq.emplace<vmac::VmacConv2d>(Tensor(w), 1, 1, cfg, vmac::AnalogOptions{}, bopts,
+                                          Rng(6));
+            seq.emplace<nn::ReLU>();
+            seq.set_training(false);
+            runtime::EvalContext ctx;
+            compile::ExecutionPlan plan = compile::compile(seq, x.shape());
+            for (int i = 0; i < 2; ++i) {
+                const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
+                (void)plan.run(x, ctx);
+                ctx.rewind(cp);
+            }
+
+            const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+            for (int i = 0; i < 3; ++i) {
+                const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
+                Tensor out = plan.run(x, ctx);
+                ctx.rewind(cp);
+            }
+            const std::size_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+            EXPECT_EQ(allocs, 0u) << "steady-state kVmacConv step must not touch the heap";
+        }
+    }
+    runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
 }
 
 TEST(AllocCountTest, SteadyStateGemmAtIsAllocationFree) {

@@ -338,6 +338,13 @@ TEST(DeviceVariationTest, ValidateRejectsNonPhysicalProfiles) {
         p.ir_drop_ref_cells = 0;
     });
     EXPECT_THROW(DeviceVariation(nullptr, DeviceProfile{}), std::invalid_argument);
+    // One chip per datapath: decorating a decorated backend is rejected.
+    DeviceProfile chip;
+    chip.cell_offset_sigma = 0.01;
+    BackendOptions varied;
+    varied.variation = chip;
+    EXPECT_THROW(DeviceVariation(make_backend(cfg(6.0), {}, varied), chip),
+                 std::invalid_argument);
 }
 
 // ----- network-level injector field ----------------------------------

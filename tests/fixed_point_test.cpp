@@ -3,11 +3,44 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "tensor/rng.hpp"
 
 namespace ams::quant {
 namespace {
+
+TEST(RoundHalfAwayTest, MatchesStdRoundBitForBit) {
+    // The inlined rounding behind the codecs and the ADC model must return
+    // exactly what std::round returns, signed zeros and specials included.
+    const auto expect_same = [](double x) {
+        const double got = round_half_away(x);
+        const double want = std::round(x);
+        if (std::isnan(want)) {
+            EXPECT_TRUE(std::isnan(got));
+            return;
+        }
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << "x = " << x;
+    };
+    for (const double x : {0.0, -0.0, 0.3, -0.3, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5,
+                           0.49999999999999994, -0.49999999999999994, 0x1p52 - 0.5,
+                           -(0x1p52 - 0.5), 0x1p52, 0x1p53 + 2.0, 1e300, -1e300,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::denorm_min()}) {
+        expect_same(x);
+    }
+    Rng rng(5);
+    for (int i = 0; i < 20000; ++i) {
+        const double scale = std::ldexp(1.0, static_cast<int>(rng.uniform_index(60)) - 8);
+        expect_same(rng.uniform(-1.0, 1.0) * scale);
+        // Exact halves at every magnitude.
+        expect_same((static_cast<double>(rng.uniform_index(1u << 20)) + 0.5) *
+                    (rng.uniform() < 0.5 ? -1.0 : 1.0));
+    }
+}
 
 TEST(SignMagCodecTest, FullScaleAndLsb) {
     SignMagCodec codec(8);

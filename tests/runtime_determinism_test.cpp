@@ -310,5 +310,51 @@ TEST(RuntimeDeterminismTest, EvalAccuracyBitIdenticalAcrossThreadCounts) {
     }
 }
 
+TEST(RuntimeDeterminismTest, PlanScratchFollowsExecutorsNotBatchChunks) {
+    // suggest_grain cuts four chunks per executor; per-worker scratch
+    // (conv columns and pack panels, the VMAC engine's stage-2 sums) is
+    // keyed by executor, so 4 threads hold at most 4x the 1-thread
+    // high-water mark, not one buffer set per chunk.
+    models::LayerCommon common;
+    common.bits_w = 8;
+    common.bits_x = 8;
+    common.ams_enabled = true;
+    common.vmac.enob = 5.0;
+    common.vmac.nmult = 8;
+    Rng rng(21);
+    Tensor x(Shape{16, 3, 8, 8});
+    x.fill_uniform(rng, -1.0f, 1.0f);
+    Tensor w(Shape{8, 3, 3, 3});
+    w.fill_uniform(rng, -1.0f, 1.0f);
+    vmac::VmacConfig cfg;
+    cfg.enob = 6.0;
+    cfg.nmult = 8;
+
+    auto plan_hwm = [&](std::size_t threads, nn::Module& model) {
+        runtime::ThreadPool::set_global_threads(threads);
+        runtime::EvalContext ctx;
+        compile::ExecutionPlan plan = compile::compile(model, x.shape());
+        for (int i = 0; i < 2; ++i) {
+            const runtime::TensorArena::Checkpoint cp = ctx.checkpoint();
+            (void)plan.run(x, ctx);
+            ctx.rewind(cp);
+        }
+        runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
+        return ctx.high_water_mark();
+    };
+
+    models::ResNet resnet(models::tiny_resnet_config(common));
+    resnet.set_training(false);
+    const std::size_t resnet_1 = plan_hwm(1, resnet);
+    EXPECT_LE(plan_hwm(4, resnet), 4 * resnet_1);
+
+    nn::Sequential vmac_seq;
+    vmac_seq.emplace<vmac::VmacConv2d>(Tensor(w), 1, 1, cfg, vmac::AnalogOptions{},
+                                       vmac::BackendOptions{}, Rng(22));
+    vmac_seq.set_training(false);
+    const std::size_t vmac_1 = plan_hwm(1, vmac_seq);
+    EXPECT_LE(plan_hwm(4, vmac_seq), 4 * vmac_1);
+}
+
 }  // namespace
 }  // namespace ams

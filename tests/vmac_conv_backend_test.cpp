@@ -1,14 +1,17 @@
 // Backend-generic VmacConv2d engine: the refactor's no-numerics-change
 // guarantee (bit-exact backend reproduces the pre-refactor engine
-// bit-for-bit at any thread count) plus conv-level behaviour of the
-// Section-4 extension backends.
+// bit-for-bit at any thread count), the staged engine's differential
+// check against the per-chunk accumulate() stream for every backend, plus
+// conv-level behaviour of the Section-4 extension backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "ams/device_profile.hpp"
 #include "ams/vmac_conv.hpp"
 #include "runtime/eval_context.hpp"
 #include "runtime/metrics.hpp"
@@ -28,12 +31,19 @@ VmacConfig cfg(double enob, std::size_t nmult = 8, std::size_t bits = 16) {
 }
 
 template <typename Fn>
-std::vector<float> with_threads(std::size_t threads, Fn&& make_output) {
+auto with_thread_count(std::size_t threads, Fn&& fn) {
     runtime::ThreadPool::set_global_threads(threads);
-    Tensor out = make_output();
-    std::vector<float> bits(out.data(), out.data() + out.size());
+    auto result = fn();
     runtime::ThreadPool::set_global_threads(runtime::ThreadPool::threads_from_env());
-    return bits;
+    return result;
+}
+
+template <typename Fn>
+std::vector<float> with_threads(std::size_t threads, Fn&& make_output) {
+    return with_thread_count(threads, [&] {
+        const Tensor out = make_output();
+        return std::vector<float>(out.data(), out.data() + out.size());
+    });
 }
 
 void expect_bit_identical(const std::vector<float>& a, const std::vector<float>& b) {
@@ -95,6 +105,170 @@ Tensor pre_refactor_reference(const Tensor& weight, std::size_t stride, std::siz
         }
     }
     return output;
+}
+
+/// Serial per-chunk reference for any backend: the engine before it was
+/// staged. Every output's chunks are gathered from the lowered operands
+/// and streamed, in (pixel, chunk) order with the tile's generator,
+/// through one backend's accumulate() and finish_output(). Returns the
+/// outputs of `passes` consecutive forward passes, concatenated.
+std::vector<float> per_chunk_reference(const Tensor& weight, std::size_t stride,
+                                       std::size_t padding, const VmacConfig& config,
+                                       const AnalogOptions& analog,
+                                       const BackendOptions& options, std::uint64_t seed,
+                                       const Tensor& input, std::size_t passes) {
+    const auto backend = make_backend(config, analog, options);
+    const runtime::RngStream streams = runtime::RngStream::from(Rng(seed));
+    const std::size_t kernel = weight.dim(2);
+    const ConvLowering low(ConvGeometry{weight.dim(1), input.dim(2), input.dim(3), kernel,
+                                        kernel, stride, stride, padding, padding});
+    const std::size_t batch = input.dim(0);
+    const std::size_t cout = weight.dim(0);
+    const std::size_t out_spatial = low.out_spatial();
+    const std::size_t patch = low.patch_size();
+    std::vector<float> columns(batch * low.columns_floats());
+    low.lower_batch(input.data(), batch, columns.data());
+    std::vector<double> w_chunk(config.nmult), x_chunk(config.nmult);
+    std::vector<float> out;
+    for (std::size_t pass = 0; pass < passes; ++pass) {
+        const runtime::RngStream pass_streams = streams.substream(pass);
+        for (std::size_t t = 0; t < batch * cout; ++t) {
+            Rng tile_rng = pass_streams.stream(t);
+            const float* cols = columns.data() + (t / cout) * patch * out_spatial;
+            const float* wrow = weight.data() + (t % cout) * patch;
+            for (std::size_t pix = 0; pix < out_spatial; ++pix) {
+                double acc = 0.0;
+                for (std::size_t start = 0; start < patch; start += config.nmult) {
+                    const std::size_t len = std::min(config.nmult, patch - start);
+                    for (std::size_t i = 0; i < len; ++i) {
+                        w_chunk[i] = wrow[start + i];
+                        x_chunk[i] = cols[(start + i) * out_spatial + pix];
+                    }
+                    acc += backend->accumulate(std::span(w_chunk.data(), len),
+                                               std::span(x_chunk.data(), len), tile_rng);
+                }
+                acc += backend->finish_output(tile_rng);
+                out.push_back(static_cast<float>(acc));
+            }
+        }
+    }
+    return out;
+}
+
+/// The engine's outputs over `passes` passes of one fresh module, through
+/// forward() or forward_planned() (one EvalContext reused across passes).
+std::vector<float> engine_passes(const Tensor& weight, std::size_t stride, std::size_t padding,
+                                 const VmacConfig& config, const AnalogOptions& analog,
+                                 const BackendOptions& options, std::uint64_t seed,
+                                 const Tensor& input, std::size_t passes, bool planned) {
+    VmacConv2d conv(weight, stride, padding, config, analog, options, Rng(seed));
+    runtime::EvalContext ctx;
+    std::vector<float> out;
+    for (std::size_t pass = 0; pass < passes; ++pass) {
+        Tensor y(conv.output_shape(input.shape()));
+        if (planned) {
+            conv.forward_planned(input.data(), input.shape(), y.data(), ctx);
+        } else {
+            y = conv.forward(input);
+        }
+        out.insert(out.end(), y.data(), y.data() + y.size());
+    }
+    return out;
+}
+
+/// One differential case: a datapath configuration and its operands.
+struct EngineCase {
+    const char* name;
+    VmacConfig config;
+    AnalogOptions analog;
+    BackendOptions options;  ///< kind and variation are set per run
+    Shape weight_shape;
+    Shape input_shape;
+    bool zero_chunks = false;  ///< all-zero weight and activation chunks
+};
+
+std::vector<EngineCase> engine_cases() {
+    // 9-bit operands: 8 magnitude bits split evenly for the partitioned
+    // datapath's default 2 x 2. Patch 7 * 3 * 3 = 63 leaves a 7-wide tail
+    // chunk; 2 images of 12 x 12 make the 2 x 2 slice planes outgrow one
+    // pixel block.
+    const Shape w_shape{3, 7, 3, 3};
+    const Shape x_shape{2, 7, 12, 12};
+    std::vector<EngineCase> cases;
+    cases.push_back({"tail_chunks", cfg(8.0, 8, 9), {}, {}, w_shape, x_shape});
+    cases.push_back({"fractional_enob", cfg(12.5, 8, 9), {}, {}, w_shape, x_shape});
+    EngineCase average{"average", cfg(6.0, 8, 9), {}, {}, w_shape, x_shape};
+    average.config.accumulation = Accumulation::kAverage;
+    cases.push_back(average);
+    EngineCase adc_noise{"adc_noise", cfg(8.0, 8, 9), {}, {}, w_shape, x_shape};
+    adc_noise.analog.adc_noise_sigma = 0.05;
+    cases.push_back(adc_noise);
+    EngineCase mult_noise{"multiplier_noise", cfg(8.0, 8, 9), {}, {}, w_shape, x_shape};
+    mult_noise.analog.multiplier_noise_sigma = 0.01;
+    mult_noise.analog.adc_noise_sigma = 0.02;
+    cases.push_back(mult_noise);
+    EngineCase drop{"partitioned_significance_drop", cfg(10.0, 8, 9), {}, {}, w_shape, x_shape};
+    drop.options.partition.nw = 2;
+    drop.options.partition.nx = 2;
+    drop.options.partition.enob_partial = 7.0;
+    drop.options.partition.significance_drop = 1.0;
+    cases.push_back(drop);
+    EngineCase zeros{"zero_chunks", cfg(8.0, 8, 9), {}, {}, w_shape, x_shape};
+    zeros.zero_chunks = true;
+    cases.push_back(zeros);
+    return cases;
+}
+
+/// A chip with every static error family on: offsets, drift with a
+/// per-cell exponent spread, and IR drop that deepens across the cells.
+DeviceProfile engine_chip() {
+    DeviceProfile chip;
+    chip.chip_seed = 7;
+    chip.cell_offset_sigma = 0.02;
+    chip.drift_nu = 0.05;
+    chip.drift_time = 10.0;
+    chip.drift_nu_sigma = 0.01;
+    chip.ir_drop_alpha = 0.05;
+    chip.ir_drop_ref_cells = 4;
+    return chip;
+}
+
+TEST(VmacConvBackendTest, EngineMatchesPerChunkStreamForEveryBackend) {
+    for (const EngineCase& c : engine_cases()) {
+        Rng rng(61);
+        Tensor w(c.weight_shape);
+        w.fill_uniform(rng, -1.0f, 1.0f);
+        Tensor x(c.input_shape);
+        x.fill_uniform(rng, -1.0f, 1.0f);
+        if (c.zero_chunks) {
+            // Out-channel 0's first chunk of weights, and input channel 0
+            // (so the first chunk of every pixel's activations), are zero.
+            std::fill_n(w.data(), c.config.nmult, 0.0f);
+            std::fill_n(x.data(), x.dim(2) * x.dim(3), 0.0f);
+            std::fill_n(x.data() + x.dim(1) * x.dim(2) * x.dim(3), x.dim(2) * x.dim(3), 0.0f);
+        }
+        for (BackendKind kind : all_backend_kinds()) {
+            for (const bool varied : {false, true}) {
+                BackendOptions options = c.options;
+                options.kind = kind;
+                if (varied) options.variation = engine_chip();
+                SCOPED_TRACE(std::string(c.name) + " " + options.str());
+                const std::vector<float> reference =
+                    per_chunk_reference(w, 1, 1, c.config, c.analog, options, 67, x, 2);
+                for (const std::size_t threads : {1u, 4u}) {
+                    for (const bool planned : {false, true}) {
+                        SCOPED_TRACE(std::to_string(threads) + (planned ? " threads, planned"
+                                                                        : " threads, forward"));
+                        const std::vector<float> engine = with_thread_count(threads, [&] {
+                            return engine_passes(w, 1, 1, c.config, c.analog, options, 67, x, 2,
+                                                 planned);
+                        });
+                        expect_bit_identical(reference, engine);
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(VmacConvBackendTest, BitExactBackendReproducesPreRefactorEngine) {
