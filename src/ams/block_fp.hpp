@@ -38,7 +38,8 @@ public:
     BlockFpVmac(const VmacConfig& config, std::size_t mantissa_bits_w,
                 std::size_t mantissa_bits_x, const AnalogOptions& analog);
 
-    // ----- the datapath's pieces (VmacConv2d runs them stage by stage) -----
+    // ----- the datapath's pieces: VmacConv2d's stage 1 runs the encodings;
+    // its lane kernels (ams/vmac_lanes.inc) repeat the sum and conversion -----
 
     /// Block quantum 2^(e_max - mantissa_bits) of `len` values
     /// `values[i * stride]`, where e_max is their shared (maximum) frexp
@@ -123,6 +124,8 @@ public:
     [[nodiscard]] const AnalogOptions& analog() const { return analog_; }
     [[nodiscard]] std::size_t mantissa_bits_w() const { return mw_; }
     [[nodiscard]] std::size_t mantissa_bits_x() const { return mx_; }
+    /// The datapath's converter.
+    [[nodiscard]] const AdcQuantizer& quantizer() const { return quantizer_; }
 
 private:
     VmacConfig config_;

@@ -38,7 +38,8 @@ public:
     /// to add to the accumulated sum.
     double finalize(Rng& rng);
 
-    // ----- the datapath's pieces (VmacConv2d runs them stage by stage) -----
+    // ----- the datapath's pieces: the scalar form of VmacConv2d's stages,
+    // which its lane kernels (ams/vmac_lanes.inc) repeat bit for bit -----
 
     /// One modulator cycle on a chunk of `len` operand pairs whose ideal
     /// analog sum (encoded operands, analog_sum without noise)
@@ -80,6 +81,8 @@ public:
     [[nodiscard]] double residual() const { return residual_; }
 
     [[nodiscard]] const VmacCell& cell() const { return cell_; }
+    /// The cell of the high-resolution final conversion.
+    [[nodiscard]] const VmacCell& final_cell() const { return final_cell_; }
     [[nodiscard]] double final_enob() const { return final_enob_; }
 
 private:

@@ -31,6 +31,13 @@ PartitionedVmac::PartitionedVmac(const VmacConfig& base, const PartitionOptions&
     if (chunk_bits_w_ == 0 || chunk_bits_x_ == 0) {
         throw std::invalid_argument("PartitionedVmac: empty chunks");
     }
+    const auto slices = [](const quant::SignMagCodec& codec, std::size_t count,
+                           std::size_t bits) {
+        return lanes::SliceCodec{codec.full_scale(), count, bits,
+                                 lanes::exact_reciprocal((1u << bits) - 1u)};
+    };
+    weight_slices_ = slices(weight_codec_, options_.nw, chunk_bits_w_);
+    activation_slices_ = slices(act_codec_, options_.nx, chunk_bits_x_);
     for (std::size_t p = 0; p < options_.nw; ++p) {
         for (std::size_t q = 0; q < options_.nx; ++q) {
             // Partial ADC: full scale Nmult, resolution discounted with depth.

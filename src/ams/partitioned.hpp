@@ -18,6 +18,7 @@
 
 #include "ams/adc_quantizer.hpp"
 #include "ams/vmac_cell.hpp"
+#include "ams/vmac_lanes.hpp"
 
 namespace ams::vmac {
 
@@ -43,7 +44,8 @@ public:
     /// std::invalid_argument otherwise.
     PartitionedVmac(const VmacConfig& base, const PartitionOptions& options);
 
-    // ----- the datapath's pieces (VmacConv2d runs them stage by stage) -----
+    // ----- the datapath's pieces: the scalar form of VmacConv2d's stages,
+    // which its lane kernels (ams/vmac_lanes.inc) repeat bit for bit -----
 
     /// Stage-1 operand encodings: the sign-magnitude code's NW weight (NX
     /// activation) slices, slice p = 0 most significant, each normalized
@@ -114,6 +116,16 @@ public:
     [[nodiscard]] const VmacConfig& base_config() const { return base_; }
     [[nodiscard]] const PartitionOptions& options() const { return options_; }
 
+    /// The slicing encode_weight()/encode_activation() apply, as plain data.
+    [[nodiscard]] const lanes::SliceCodec& weight_slices() const { return weight_slices_; }
+    [[nodiscard]] const lanes::SliceCodec& activation_slices() const {
+        return activation_slices_;
+    }
+
+    /// The partial converters and shift-add weights, by pair index p * nx + q.
+    [[nodiscard]] const std::vector<AdcQuantizer>& partial_adcs() const { return partial_adcs_; }
+    [[nodiscard]] const std::vector<double>& partial_weights() const { return partial_weights_; }
+
 private:
     /// Slices of a sign-magnitude code: `count` chunks of `bits` bits,
     /// chunk 0 most significant, each normalized by its full scale and
@@ -138,6 +150,8 @@ private:
     quant::SignMagCodec act_codec_;
     std::vector<AdcQuantizer> partial_adcs_;  ///< [p * nx + q]: partial_enob(p, q) converters
     std::vector<double> partial_weights_;     ///< [p * nx + q]: partial_weight(p, q)
+    lanes::SliceCodec weight_slices_;
+    lanes::SliceCodec activation_slices_;
 };
 
 }  // namespace ams::vmac

@@ -26,42 +26,122 @@ void count_chunks(runtime::metrics::Counter counter, std::uint64_t chunks,
     runtime::metrics::add(counter, conversions);
 }
 
-/// Stage 1 for element-wise encodings: `encode(v, planes, plane_stride)`
-/// writes the value planes of one operand.
-template <typename T, typename Encode>
-void encode_elementwise(const T* src, std::size_t stride, const OperandPlanes& dst,
-                        Encode&& encode) {
-    const std::size_t plane_stride = dst.rows * dst.cols;
+/// Stage 1 for datapaths that keep their operands as they are.
+template <typename T>
+void copy_operands(const T* src, std::size_t stride, const OperandPlanes& dst) {
     for (std::size_t r = 0; r < dst.rows; ++r) {
         for (std::size_t c = 0; c < dst.cols; ++c) {
-            encode(static_cast<double>(src[r * stride + c]), dst.values + r * dst.cols + c,
-                   plane_stride);
+            dst.values[r * dst.cols + c] = static_cast<double>(src[r * stride + c]);
         }
     }
 }
 
-/// Stage 3's one loop: converts a tile pixel by pixel and, within a pixel,
-/// chunk by chunk — the order accumulate() streams an output's chunks.
-/// `chunk(c, pixel, residual)` returns chunk c's digital term, and
-/// `finish(residual)` the output's final term; `residual` is the output's
-/// carried state (delta-sigma), reset per pixel.
-template <typename Chunk, typename Finish>
-void convert_stream(const TileSums& t, float* out, Chunk&& chunk, Finish&& finish) {
-    for (std::size_t pixel = 0; pixel < t.pixels(); ++pixel) {
-        double acc = 0.0;
-        double residual = 0.0;
+/// Stage 3's draws of thermal noise: one multiplier draw per operand pair
+/// and one ADC draw per analog sum.
+DrawPlan analog_draws(const AnalogOptions& analog) {
+    DrawPlan plan;
+    plan.product_sigma = analog.multiplier_noise_sigma;
+    if (analog.adc_noise_sigma > 0.0) {
+        plan.adc = DrawPlan::Adc::kNormal;
+        plan.adc_b = analog.adc_noise_sigma;
+    }
+    return plan;
+}
+
+/// convert_chunk_sum's parameters for the lane kernels.
+lanes::CellParams cell_params(const AdcQuantizer& adc, const VmacConfig& config) {
+    return {adc.step(), static_cast<double>(config.nmult),
+            config.accumulation == Accumulation::kAverage};
+}
+
+/// Takes one lane group's draws from `rng`, pixel by pixel and, within a
+/// pixel, in DrawPlan order, into the slots lanes::Group names (each null
+/// when the plan has none of its kind).
+void take_draws(const TileSums& t, const OperandLayout& layout, Rng& rng, lanes::Group& g) {
+    const DrawPlan& plan = layout.draws;
+    const std::size_t pairs = layout.pairs();
+    const std::size_t w = g.width;
+    double* next = t.draws;
+    double* products = nullptr;
+    double* adc = nullptr;
+    double* final = nullptr;
+    if (plan.product_sigma > 0.0) {
+        products = next;
+        next += pairs * t.w.rows * w;
+    }
+    if (plan.adc != DrawPlan::Adc::kNone) {
+        adc = next;
+        next += pairs * t.chunks * w;
+    }
+    if (plan.final_sigma > 0.0) final = next;
+    g.product_draws = products;
+    g.adc_draws = adc;
+    g.final_draws = final;
+    if (next == t.draws && final == nullptr) return;  // a draw-free datapath
+    if (products == nullptr && final == nullptr) {
+        // ADC draws only (per-VMAC noise, ADC noise): the common case, kept
+        // to one call and one store per draw.
+        const bool normal = plan.adc == DrawPlan::Adc::kNormal;
+        const double a = plan.adc_a;
+        const double b = plan.adc_b;
+        const std::size_t slots = t.chunks * pairs;
+        for (std::size_t j = 0; j < w; ++j) {
+            double* slot = adc + j;
+            for (std::size_t s = 0; s < slots; ++s, slot += w) {
+                *slot = normal ? rng.normal(a, b) : rng.uniform(a, b);
+            }
+        }
+        return;
+    }
+    for (std::size_t j = 0; j < w; ++j) {
         for (std::size_t c = 0; c < t.chunks; ++c) {
-            double term = chunk(c, pixel, residual);
-            if (t.offsets != nullptr) term += t.offsets[c];
-            acc += term;
+            const std::size_t k0 = t.chunk_start(c);
+            for (std::size_t pq = 0; pq < pairs; ++pq) {
+                if (products != nullptr) {
+                    for (std::size_t k = k0; k < k0 + t.chunk_len(c); ++k) {
+                        products[(pq * t.w.rows + k) * w + j] = rng.normal(0.0, plan.product_sigma);
+                    }
+                }
+                if (adc != nullptr) {
+                    adc[(c * pairs + pq) * w + j] = plan.adc == DrawPlan::Adc::kNormal
+                                                        ? rng.normal(plan.adc_a, plan.adc_b)
+                                                        : rng.uniform(plan.adc_a, plan.adc_b);
+                }
+            }
         }
-        acc += finish(residual);
-        out[pixel] = static_cast<float>(acc);
+        if (final != nullptr) final[j] = rng.normal(0.0, plan.final_sigma);
     }
 }
 
-/// The final term of a stateless datapath's output.
-double no_final_term(double /*residual*/) { return 0.0; }
+/// Stage 3's one loop: the tile's pixels in lane groups of at most
+/// lanes::kLanes. Each group takes its draws, forms its noisy chunk sums
+/// where stage 2 left none (OperandLayout::sums_per_chunk), and then
+/// `convert(group, out)` runs the datapath's lane kernel, which converts
+/// chunk by chunk across the group's lanes.
+template <typename Convert>
+void convert_groups(const TileSums& t, const OperandLayout& layout, Rng& rng, float* out,
+                    Convert&& convert) {
+    const std::size_t pixels = t.pixels();
+    for (std::size_t l0 = 0; l0 < pixels; l0 += lanes::kLanes) {
+        lanes::Group g;
+        g.width = std::min(lanes::kLanes, pixels - l0);
+        g.chunks = t.chunks;
+        g.pairs = t.pairs;
+        g.rows = t.w.rows;
+        g.nmult = t.nmult;
+        g.offsets = t.offsets;
+        take_draws(t, layout, rng, g);
+        if (t.sums != nullptr) {
+            g.sums = t.sums + l0;
+            g.stride = pixels;
+        } else {
+            lanes::noisy_sums(t, layout, l0, g, t.group_sums);
+            g.sums = t.group_sums;
+            g.stride = g.width;
+        }
+        convert(g, out + l0);
+    }
+}
 
 }  // namespace
 
@@ -155,32 +235,23 @@ public:
     }
 
     [[nodiscard]] OperandLayout operand_layout() const override {
-        return {1, 1, false, cell_.analog().multiplier_noise_sigma > 0.0};
+        return {1, 1, false, cell_.analog().multiplier_noise_sigma > 0.0,
+                analog_draws(cell_.analog())};
     }
     void encode_weights(const double* weights, const OperandPlanes& dst) override {
-        encode_elementwise(weights, 1, dst, [&](double v, double* out, std::size_t) {
-            *out = cell_.encode_weight(v);
-        });
+        lanes::quantize_sign_magnitude(weights, 0, 1, dst.rows, cell_.weight_codec().full_scale(),
+                                       dst.values);
     }
     void encode_activations(const float* activations, std::size_t stride,
                             const OperandPlanes& dst) const override {
-        encode_elementwise(activations, stride, dst, [&](double v, double* out, std::size_t) {
-            *out = cell_.encode_activation(v);
-        });
+        lanes::quantize_sign_magnitude(activations, stride, dst.rows, dst.cols,
+                                       cell_.act_codec().full_scale(), dst.values);
     }
     void convert_tile(const TileSums& t, Rng& rng, float* out) const override {
-        convert_stream(
-            t, out,
-            [&](std::size_t c, std::size_t pixel, double&) {
-                if (t.sums != nullptr) return cell_.convert_sum(t.sum(c, 0, pixel), rng);
-                const std::size_t k0 = t.chunk_start(c);
-                const double sum = analog_sum(
-                    t.chunk_len(c), [&](std::size_t i) { return t.w.value(0, k0 + i, 0); },
-                    [&](std::size_t i) { return t.x.value(0, k0 + i, pixel); },
-                    cell_.analog().multiplier_noise_sigma, rng);
-                return cell_.convert_sum(sum, rng);
-            },
-            no_final_term);
+        const lanes::CellParams params = cell_params(cell_.quantizer(), cell_.config());
+        convert_groups(t, operand_layout(), rng, out, [&](const lanes::Group& g, float* o) {
+            lanes::convert_cell(params, g, o);
+        });
     }
     void count_conversions(std::uint64_t chunks, std::uint64_t /*outputs*/) const override {
         count_chunks(kind_ == BackendKind::kBitExact
@@ -238,23 +309,23 @@ public:
     }
 
     /// Operands stay unquantized; exact sums, so stage 2 always applies.
-    [[nodiscard]] OperandLayout operand_layout() const override { return {}; }
+    [[nodiscard]] OperandLayout operand_layout() const override {
+        OperandLayout layout;
+        layout.draws.adc = DrawPlan::Adc::kUniform;
+        layout.draws.adc_a = -0.5 * cell_.adc_lsb();
+        layout.draws.adc_b = 0.5 * cell_.adc_lsb();
+        return layout;
+    }
     void encode_weights(const double* weights, const OperandPlanes& dst) override {
-        encode_elementwise(weights, 1, dst,
-                           [](double v, double* out, std::size_t) { *out = v; });
+        copy_operands(weights, 1, dst);
     }
     void encode_activations(const float* activations, std::size_t stride,
                             const OperandPlanes& dst) const override {
-        encode_elementwise(activations, stride, dst,
-                           [](double v, double* out, std::size_t) { *out = v; });
+        copy_operands(activations, stride, dst);
     }
     void convert_tile(const TileSums& t, Rng& rng, float* out) const override {
-        convert_stream(
-            t, out,
-            [&](std::size_t c, std::size_t pixel, double&) {
-                return convert(t.sum(c, 0, pixel), rng);
-            },
-            no_final_term);
+        convert_groups(t, operand_layout(), rng, out,
+                       [](const lanes::Group& g, float* o) { lanes::add_draws(g, o); });
     }
     void count_conversions(std::uint64_t chunks, std::uint64_t /*outputs*/) const override {
         count_chunks(runtime::metrics::Counter::kAdcConversionsPerVmacNoise, chunks, chunks);
@@ -288,7 +359,9 @@ private:
 class PartitionedBackend final : public VmacBackend {
 public:
     PartitionedBackend(const VmacConfig& config, PartitionOptions options)
-        : vmac_(config, options) {}
+        : vmac_(config, options) {
+        for (const AdcQuantizer& adc : vmac_.partial_adcs()) steps_.push_back(adc.step());
+    }
 
     double accumulate(std::span<const double> weights, std::span<const double> activations,
                       Rng& rng) override {
@@ -298,42 +371,22 @@ public:
 
     [[nodiscard]] OperandLayout operand_layout() const override {
         return {vmac_.options().nw, vmac_.options().nx, false,
-                vmac_.options().analog.multiplier_noise_sigma > 0.0};
+                vmac_.options().analog.multiplier_noise_sigma > 0.0,
+                analog_draws(vmac_.options().analog)};
     }
     void encode_weights(const double* weights, const OperandPlanes& dst) override {
-        encode_elementwise(weights, 1, dst, [&](double v, double* out, std::size_t stride) {
-            vmac_.encode_weight(v, out, stride);
-        });
+        lanes::encode_slices(weights, 0, 1, dst.rows, vmac_.weight_slices(), dst.values);
     }
     void encode_activations(const float* activations, std::size_t stride,
                             const OperandPlanes& dst) const override {
-        encode_elementwise(activations, stride, dst,
-                           [&](double v, double* out, std::size_t plane_stride) {
-                               vmac_.encode_activation(v, out, plane_stride);
-                           });
+        lanes::encode_slices(activations, stride, dst.rows, dst.cols, vmac_.activation_slices(),
+                             dst.values);
     }
     void convert_tile(const TileSums& t, Rng& rng, float* out) const override {
-        const std::size_t pixels = t.pixels();
-        convert_stream(
-            t, out,
-            [&](std::size_t c, std::size_t pixel, double&) {
-                if (t.sums != nullptr) {
-                    const double* sums = &t.sums[c * t.pairs * pixels + pixel];
-                    return vmac_.convert_partials(
-                        [&](std::size_t, std::size_t, std::size_t pq) { return sums[pq * pixels]; },
-                        rng);
-                }
-                const std::size_t k0 = t.chunk_start(c);
-                return vmac_.convert_partials(
-                    [&](std::size_t p, std::size_t q, std::size_t) {
-                        return analog_sum(
-                            t.chunk_len(c), [&](std::size_t i) { return t.w.value(p, k0 + i, 0); },
-                            [&](std::size_t i) { return t.x.value(q, k0 + i, pixel); },
-                            vmac_.options().analog.multiplier_noise_sigma, rng);
-                    },
-                    rng);
-            },
-            no_final_term);
+        const lanes::PartitionParams params{steps_.data(), vmac_.partial_weights().data()};
+        convert_groups(t, operand_layout(), rng, out, [&](const lanes::Group& g, float* o) {
+            lanes::convert_partitioned(params, g, o);
+        });
     }
     void count_conversions(std::uint64_t chunks, std::uint64_t /*outputs*/) const override {
         count_chunks(runtime::metrics::Counter::kAdcConversionsPartitioned, chunks,
@@ -365,6 +418,7 @@ public:
 
 private:
     PartitionedVmac vmac_;
+    std::vector<AdcStep> steps_;  ///< the partial converters' constants, by pair
 };
 
 /// Sec. 4 method 2: first-order delta-sigma modulator in place of the
@@ -387,25 +441,27 @@ public:
     }
 
     /// Multiplier noise enters after the ideal sum, so stage 2 always applies.
-    [[nodiscard]] OperandLayout operand_layout() const override { return {}; }
+    [[nodiscard]] OperandLayout operand_layout() const override {
+        OperandLayout layout;
+        layout.draws = analog_draws(analog_);
+        layout.draws.final_sigma = vmac_.final_cell().analog().adc_noise_sigma;
+        return layout;
+    }
     void encode_weights(const double* weights, const OperandPlanes& dst) override {
-        encode_elementwise(weights, 1, dst, [&](double v, double* out, std::size_t) {
-            *out = vmac_.cell().encode_weight(v);
-        });
+        lanes::quantize_sign_magnitude(weights, 0, 1, dst.rows,
+                                       vmac_.cell().weight_codec().full_scale(), dst.values);
     }
     void encode_activations(const float* activations, std::size_t stride,
                             const OperandPlanes& dst) const override {
-        encode_elementwise(activations, stride, dst, [&](double v, double* out, std::size_t) {
-            *out = vmac_.cell().encode_activation(v);
-        });
+        lanes::quantize_sign_magnitude(activations, stride, dst.rows, dst.cols,
+                                       vmac_.cell().act_codec().full_scale(), dst.values);
     }
     void convert_tile(const TileSums& t, Rng& rng, float* out) const override {
-        convert_stream(
-            t, out,
-            [&](std::size_t c, std::size_t pixel, double& residual) {
-                return vmac_.cycle(t.sum(c, 0, pixel), t.chunk_len(c), residual, rng);
-            },
-            [&](double residual) { return vmac_.final_conversion(residual, rng); });
+        const lanes::DeltaSigmaParams params{vmac_.cell().quantizer().step(),
+                                             vmac_.final_cell().quantizer().step()};
+        convert_groups(t, operand_layout(), rng, out, [&](const lanes::Group& g, float* o) {
+            lanes::convert_delta_sigma(params, g, o);
+        });
     }
     void count_conversions(std::uint64_t chunks, std::uint64_t outputs) const override {
         count_chunks(runtime::metrics::Counter::kAdcConversionsDeltaSigma, chunks,
@@ -450,7 +506,8 @@ public:
     }
 
     [[nodiscard]] OperandLayout operand_layout() const override {
-        return {1, 1, true, vmac_.analog().multiplier_noise_sigma > 0.0};
+        return {1, 1, true, vmac_.analog().multiplier_noise_sigma > 0.0,
+                analog_draws(vmac_.analog())};
     }
     void encode_weights(const double* weights, const OperandPlanes& dst) override {
         encode_blocks(weights, 1, dst, [&](const double* w, std::size_t len, std::size_t s) {
@@ -465,18 +522,10 @@ public:
                       });
     }
     void convert_tile(const TileSums& t, Rng& rng, float* out) const override {
-        convert_stream(
-            t, out,
-            [&](std::size_t c, std::size_t pixel, double&) {
-                if (t.sums != nullptr) return vmac_.convert_sum(t.sum(c, 0, pixel), rng);
-                const std::size_t k0 = t.chunk_start(c);
-                const double sum = vmac_.analog_sum(
-                    t.chunk_len(c), [&](std::size_t i) { return t.w.mantissa(k0 + i, 0); },
-                    [&](std::size_t i) { return t.x.mantissa(k0 + i, pixel); },
-                    t.w.quantum(c, 0) * t.x.quantum(c, pixel), rng);
-                return vmac_.convert_sum(sum, rng);
-            },
-            no_final_term);
+        const lanes::CellParams params = cell_params(vmac_.quantizer(), vmac_.config());
+        convert_groups(t, operand_layout(), rng, out, [&](const lanes::Group& g, float* o) {
+            lanes::convert_cell(params, g, o);
+        });
     }
     void count_conversions(std::uint64_t chunks, std::uint64_t /*outputs*/) const override {
         count_chunks(runtime::metrics::Counter::kAdcConversionsBlockFp, chunks, chunks);

@@ -22,8 +22,9 @@
 //  - Per layer, in the three stages VmacConv2d runs (DESIGN.md §9):
 //    encode_weights()/encode_activations() encode every operand once
 //    into operand planes (no RNG); the engine sums each chunk for a block
-//    of output pixels at once (no RNG); convert_tile() then applies the
-//    conversions in (pixel, chunk) order with the tile's Rng — the same
+//    of output pixels at once (no RNG); convert_tile() then converts the
+//    pixels in lane groups, chunk by chunk across the group's lanes, with
+//    the draws the tile's Rng gives in (pixel, chunk) order — the same
 //    draws, in the same order, as the per-chunk stream. These calls keep
 //    no per-output state in the backend, so one backend serves every
 //    worker of a parallel forward pass.
@@ -32,8 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#pragma once
-
 #include <memory>
 #include <span>
 #include <string>
@@ -44,6 +43,7 @@
 #include "ams/device_profile.hpp"
 #include "ams/partitioned.hpp"
 #include "ams/vmac_cell.hpp"
+#include "ams/vmac_lanes.hpp"
 
 namespace ams::vmac {
 
@@ -79,65 +79,6 @@ struct ConversionCost {
 };
 using ConversionProfile = std::vector<ConversionCost>;
 
-/// How a backend's stage 1 lays out its encoded operands.
-struct OperandLayout {
-    std::size_t weight_planes = 1;  ///< value planes per weight (NW slices when partitioned)
-    std::size_t act_planes = 1;     ///< value planes per activation (NX slices when partitioned)
-    /// Block floating point: int32 mantissas plus one quantum per (chunk,
-    /// column) in place of value planes.
-    bool mantissas = false;
-    /// Multiplier noise enters inside each analog sum, so stage 2 cannot
-    /// precompute it: stage 3 forms every chunk's sum from the operands,
-    /// with its draws.
-    bool sums_per_chunk = false;
-
-    /// Analog partial sums per chunk: one per (weight plane, activation plane).
-    [[nodiscard]] std::size_t pairs() const { return weight_planes * act_planes; }
-};
-
-/// Encoded operands of a rows x cols block. Rows run along the dot product
-/// (chunk c holds rows [c * Nmult, min((c + 1) * Nmult, rows))); columns
-/// are output pixels (one for an out-channel's weights).
-struct OperandPlanes {
-    double* values = nullptr;           ///< [plane][row][col]
-    std::int32_t* mantissas = nullptr;  ///< [row][col] (OperandLayout::mantissas)
-    double* quanta = nullptr;           ///< [chunk][col] (OperandLayout::mantissas)
-    std::size_t rows = 0;
-    std::size_t cols = 0;
-
-    [[nodiscard]] double value(std::size_t plane, std::size_t row, std::size_t col) const {
-        return values[(plane * rows + row) * cols + col];
-    }
-    [[nodiscard]] std::int32_t mantissa(std::size_t row, std::size_t col) const {
-        return mantissas[row * cols + col];
-    }
-    [[nodiscard]] double quantum(std::size_t chunk, std::size_t col) const {
-        return quanta[chunk * cols + col];
-    }
-};
-
-/// Stage 3's input for one tile: the output pixels (activation columns)
-/// of one (image, out-channel) pair, their encoded operands and, unless
-/// OperandLayout::sums_per_chunk, their stage-2 analog sums.
-struct TileSums {
-    const double* sums = nullptr;     ///< [chunk][pair][pixel], pair = p * act_planes + q
-    OperandPlanes w;                  ///< the out-channel's weights (cols = 1)
-    OperandPlanes x;                  ///< the pixels' activations (cols = pixels)
-    const double* offsets = nullptr;  ///< per-cell output offsets [chunk], or null
-    std::size_t nmult = 0;
-    std::size_t chunks = 0;
-    std::size_t pairs = 1;
-
-    [[nodiscard]] std::size_t pixels() const { return x.cols; }
-    [[nodiscard]] std::size_t chunk_start(std::size_t c) const { return c * nmult; }
-    [[nodiscard]] std::size_t chunk_len(std::size_t c) const {
-        return std::min(nmult, w.rows - c * nmult);
-    }
-    [[nodiscard]] double sum(std::size_t c, std::size_t pair, std::size_t pixel) const {
-        return sums[(c * pairs + pair) * x.cols + pixel];
-    }
-};
-
 /// Abstract AMS datapath: computes chunk contributions and reports cost.
 class VmacBackend {
 public:
@@ -157,7 +98,7 @@ public:
 
     // ----- the engine's stages -----
 
-    /// Operand planes stage 1 writes and stage 2 sums.
+    /// Operand planes stage 1 writes and stage 2 sums, and stage 3's draws.
     [[nodiscard]] virtual OperandLayout operand_layout() const = 0;
 
     /// Stage 1 (no RNG): encodes one out-channel's `dst.rows` weights
@@ -170,8 +111,10 @@ public:
     virtual void encode_activations(const float* activations, std::size_t stride,
                                     const OperandPlanes& dst) const = 0;
 
-    /// Stage 3: converts every pixel of a tile, pixel by pixel and chunk by
-    /// chunk, drawing from `rng` in that order; writes out[pixel]. Each
+    /// Stage 3: converts every pixel of a tile in lane groups of at most
+    /// lanes::kLanes pixels: a group first takes its draws from `rng`,
+    /// pixel by pixel and chunk by chunk (operand_layout().draws), then
+    /// converts chunk by chunk across its lanes; writes out[pixel]. Each
     /// pixel's value and draws equal the accumulate()/finish_output()
     /// stream over its chunks.
     virtual void convert_tile(const TileSums& tile, Rng& rng, float* out) const = 0;

@@ -85,7 +85,8 @@ public:
     /// noise (variance sum), per the standard ENOB definition.
     [[nodiscard]] double effective_enob() const;
 
-    // ----- the datapath's pieces (VmacConv2d runs them stage by stage) -----
+    // ----- the datapath's pieces: the scalar form of VmacConv2d's stages,
+    // which its lane kernels (ams/vmac_lanes.inc) repeat bit for bit -----
 
     /// Stage-1 operand encodings: the BW-bit (weights) or BX-bit
     /// (activations) sign-magnitude value nearest to a real operand.
@@ -129,6 +130,10 @@ public:
 
     /// The cell's converter (the shared quantizer model).
     [[nodiscard]] const AdcQuantizer& quantizer() const { return quantizer_; }
+
+    /// The operand codecs behind encode_weight()/encode_activation().
+    [[nodiscard]] const quant::SignMagCodec& weight_codec() const { return weight_codec_; }
+    [[nodiscard]] const quant::SignMagCodec& act_codec() const { return act_codec_; }
 
 private:
     VmacConfig config_;

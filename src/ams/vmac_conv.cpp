@@ -24,7 +24,8 @@ void format_forward_tag(char* tag, std::size_t capacity, BackendKind kind, const
 }
 
 /// Scratch slots of one pass in the EvalContext registry; per-executor
-/// stage-2 buffers follow kWorkerSlot, one per region executor.
+/// stage-2 sums and stage-3 draw buffers follow kWorkerSlot, one per
+/// region executor.
 enum Slot : int {
     kColumnsSlot = 0,
     kWeightsSlot,
@@ -39,8 +40,7 @@ enum Slot : int {
 /// slices) are then encoded and consumed a block of pixels at a time.
 constexpr std::size_t kActivationBlockBytes = 256 * 1024;
 
-/// Lanes per vectorizable step of the stage-2 loops.
-constexpr std::size_t kLanes = 8;
+using lanes::kLanes;
 
 static_assert(std::is_trivially_copyable_v<Rng>, "tile generators are parked as bytes");
 
@@ -68,61 +68,6 @@ OperandPlanes operand_planes(float* base, const OperandLayout& layout, std::size
     return p;
 }
 
-/// s[l] = the sum over i < len of w[i] * x[i * lanes + l], for every lane
-/// l < lanes: each lane starts at 0 and, in ascending i, multiplies and
-/// then adds. Whole groups of kLanes keep their sums in registers with a
-/// fixed trip count, so -O2 vectorizes them; the tail runs lane by lane.
-template <typename S, typename W, typename X>
-void lane_dot(S* __restrict s, const W* __restrict w, const X* __restrict x, std::size_t len,
-              std::size_t lanes) {
-    std::size_t l0 = 0;
-    for (; l0 + kLanes <= lanes; l0 += kLanes) {
-        S acc[kLanes] = {};
-        for (std::size_t i = 0; i < len; ++i) {
-            const S wi = w[i];
-            const X* xi = x + i * lanes + l0;
-#pragma GCC unroll 8
-            for (std::size_t j = 0; j < kLanes; ++j) acc[j] += wi * xi[j];
-        }
-        std::copy_n(acc, kLanes, s + l0);
-    }
-    for (; l0 < lanes; ++l0) {
-        S acc = 0;
-        for (std::size_t i = 0; i < len; ++i) acc += S{w[i]} * x[i * lanes + l0];
-        s[l0] = acc;
-    }
-}
-
-/// Stage 2 (no RNG): every chunk's analog partial sums for all pixels of a
-/// tile, one lane per pixel, into t.sums's layout. Each lane runs the
-/// datapath's scalar sequence exactly: start at 0, then per k in
-/// ascending order multiply and add as two operations (block floating
-/// point: the exact int64 mantissa dot, then one scale by the quanta).
-void chunk_sums(const TileSums& t, const OperandLayout& layout, double* sums,
-                std::int64_t* mantissa_acc) {
-    const std::size_t lanes = t.pixels();
-    for (std::size_t c = 0; c < t.chunks; ++c) {
-        const std::size_t k0 = t.chunk_start(c);
-        const std::size_t len = t.chunk_len(c);
-        if (layout.mantissas) {
-            lane_dot(mantissa_acc, t.w.mantissas + k0, t.x.mantissas + k0 * lanes, len, lanes);
-            const double qw = t.w.quantum(c, 0);
-            double* s = sums + c * lanes;
-            for (std::size_t l = 0; l < lanes; ++l) {
-                s[l] = static_cast<double>(mantissa_acc[l]) * (qw * t.x.quantum(c, l));
-            }
-            continue;
-        }
-        for (std::size_t p = 0; p < layout.weight_planes; ++p) {
-            for (std::size_t q = 0; q < layout.act_planes; ++q) {
-                lane_dot(sums + (c * t.pairs + p * layout.act_planes + q) * lanes,
-                         t.w.values + p * t.w.rows + k0,
-                         t.x.values + (q * t.x.rows + k0) * lanes, len, lanes);
-            }
-        }
-    }
-}
-
 /// Geometry and scratch sizes of one forward pass.
 struct Workspace {
     std::size_t batch = 0, cout = 0, patch = 0, out_spatial = 0, nmult = 0, chunks = 0;
@@ -134,7 +79,10 @@ struct Workspace {
     std::size_t weight_stride = 0;  ///< floats: one out-channel's weight planes
     std::size_t act_stride = 0;     ///< floats: one image's activation block
     std::size_t rngs = 0;           ///< floats: parked tile generators
-    std::size_t worker = 0;         ///< floats: one executor's stage-2 sums
+    std::size_t sums = 0;           ///< floats: one executor's stage-2 sums
+    std::size_t draws = 0;          ///< floats: one lane group's stage-3 draws
+    std::size_t worker = 0;         ///< floats: one executor's scratch: sums, draws and,
+                                    ///< with sums_per_chunk, a lane group's noisy sums
 
     [[nodiscard]] std::size_t tiles() const { return batch * cout; }
 };
@@ -167,9 +115,12 @@ Workspace workspace(const ConvLowering& low, std::size_t batch, std::size_t cout
     ws.executors = runtime::region_executors((ws.tiles() + ws.grain - 1) / ws.grain);
     ws.rngs = (ws.tiles() * sizeof(Rng) + sizeof(float) - 1) / sizeof(float);
     if (!ws.layout.sums_per_chunk) {
-        ws.worker = 2 * ws.chunks * ws.layout.pairs() * ws.block;
-        if (ws.layout.mantissas) ws.worker += 2 * ws.block;  // int64 lane accumulators
+        ws.sums = 2 * ws.chunks * ws.layout.pairs() * ws.block;
+        if (ws.layout.mantissas) ws.sums += 2 * ws.block;  // int64 lane accumulators
     }
+    ws.draws = 2 * kLanes * ws.layout.draws_per_output(ws.patch, ws.chunks);
+    ws.worker = ws.sums + ws.draws;
+    if (ws.layout.sums_per_chunk) ws.worker += 2 * kLanes * ws.chunks * ws.layout.pairs();
     return ws;
 }
 
@@ -281,6 +232,8 @@ void VmacConv2d::forward_planned(const float* input, const Shape& in_shape, floa
                                      ? reinterpret_cast<std::int64_t*>(
                                            scratch + 2 * ws.chunks * layout.pairs() * ws.block)
                                      : nullptr;
+            auto* draws = reinterpret_cast<double*>(scratch + ws.sums);
+            auto* group_sums = reinterpret_cast<double*>(scratch + ws.sums + ws.draws);
             for (std::size_t t = t0; t < t1; ++t) {
                 Rng rng;
                 if (p0 == 0) {
@@ -294,8 +247,10 @@ void VmacConv2d::forward_planned(const float* input, const Shape& in_shape, floa
                 tile.nmult = ws.nmult;
                 tile.chunks = ws.chunks;
                 tile.pairs = layout.pairs();
+                tile.draws = draws;
+                tile.group_sums = group_sums;
                 if (!layout.sums_per_chunk) {
-                    chunk_sums(tile, layout, sums, mantissa_acc);
+                    lanes::chunk_sums(tile, layout, sums, mantissa_acc);
                     tile.sums = sums;
                 }
                 backend_->convert_tile(tile, rng, out + t * ws.out_spatial + p0);

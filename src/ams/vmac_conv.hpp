@@ -23,10 +23,11 @@
 //  2. sum (no RNG): per (image, out-channel) tile, every chunk's analog
 //     partial sum for a block of output pixels at once, one lane per
 //     pixel, each lane in the datapath's scalar order;
-//  3. convert: per tile, in (pixel, chunk) order with the tile's Rng, the
-//     backend's conversions — the draws, in the order, of streaming each
-//     output's chunks through accumulate(), so stateful backends
-//     (delta-sigma) see the output stationarity they require.
+//  3. convert: per tile, in groups of pixel lanes, chunk by chunk across
+//     each group, the backend's conversions — with the draws, in the
+//     order, of streaming each output's chunks through accumulate(), so
+//     stateful backends (delta-sigma) see the output stationarity they
+//     require.
 #pragma once
 
 #include <memory>

@@ -10,15 +10,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "ams/adc_quantizer.hpp"
 #include "ams/partitioned.hpp"
 #include "ams/vmac_cell.hpp"
+#include "simd_arms.hpp"
 
 namespace ams {
 namespace {
+
+using testing_support::on_each_arm;
 
 struct QuantizerCase {
     double enob;
@@ -117,6 +122,63 @@ TEST(AdcQuantizerPropertyTest, QuantizationErrorBoundedByHalfLsb) {
             ASSERT_LE(err, 0.5 * q.lsb() * (1.0 + 1e-12))
                 << "enob=" << c.enob << " fs=" << c.full_scale << " v=" << v;
         }
+    }
+}
+
+TEST(AdcQuantizerPropertyTest, ExactInverseOnlyForPowerOfTwoSteps) {
+    // The engine's step sizes: 2^-4 (bit exact), 2^-5 (reference scale
+    // 0.5) and 2^-8 (the delta-sigma final conversion) multiply by their
+    // inverse; any other step divides.
+    EXPECT_EQ(vmac::AdcQuantizer(8.0, 8.0).step().inv_lsb, 16.0);
+    EXPECT_EQ(vmac::AdcQuantizer(8.0, 8.0, 0.5).step().inv_lsb, 32.0);
+    EXPECT_EQ(vmac::AdcQuantizer(12.0, 8.0).step().inv_lsb, 256.0);
+    EXPECT_EQ(vmac::AdcQuantizer(12.5, 8.0).step().inv_lsb, 0.0);
+    EXPECT_EQ(vmac::AdcQuantizer(8.0, 8.0, 0.3).step().inv_lsb, 0.0);
+}
+
+TEST(AdcQuantizerPropertyTest, LaneConvertMatchesScalarBitForBitOnBothArms) {
+    // The lane convert (exact inverse for power-of-two steps, division
+    // otherwise) must return convert()'s bits on every input: random
+    // values, exact ties of the grid, the clip boundaries and their
+    // neighbours, signed zeros, subnormals, infinities and NaN.
+    std::vector<QuantizerCase> cases{{8.0, 8.0, 1.0},  {8.0, 8.0, 0.5}, {12.0, 8.0, 1.0},
+                                     {12.5, 8.0, 1.0}, {8.0, 8.0, 0.3}, {6.0, 1.0, 1.0}};
+    for (const QuantizerCase& c : random_cases(40, 23)) cases.push_back(c);
+    const double inf = std::numeric_limits<double>::infinity();
+    Rng rng(24);
+    for (const QuantizerCase& c : cases) {
+        const vmac::AdcQuantizer q(c.enob, c.full_scale, c.reference_scale);
+        const double ref = q.reference();
+        std::vector<double> xs{0.0,
+                               -0.0,
+                               ref,
+                               -ref,
+                               std::nextafter(ref, inf),
+                               std::nextafter(-ref, -inf),
+                               std::nextafter(ref, 0.0),
+                               2.0 * ref,
+                               -3.0 * ref,
+                               std::numeric_limits<double>::denorm_min(),
+                               -std::numeric_limits<double>::denorm_min(),
+                               inf,
+                               -inf,
+                               std::numeric_limits<double>::quiet_NaN()};
+        for (int i = 0; i < 500; ++i) {
+            xs.push_back(rng.uniform(-1.5 * ref, 1.5 * ref));
+            const double tie = (std::floor(rng.uniform(-ref, ref) / q.lsb()) + 0.5) * q.lsb();
+            xs.push_back(tie);
+            xs.push_back(std::nextafter(tie, inf));
+        }
+        on_each_arm([&] {
+            std::vector<double> got(xs.size());
+            q.convert(xs.data(), got.data(), xs.size());
+            for (std::size_t i = 0; i < xs.size(); ++i) {
+                const double want = q.convert(xs[i]);
+                ASSERT_EQ(std::memcmp(&got[i], &want, sizeof(double)), 0)
+                    << "enob=" << c.enob << " fs=" << c.full_scale << " rs=" << c.reference_scale
+                    << " x=" << xs[i];
+            }
+        });
     }
 }
 

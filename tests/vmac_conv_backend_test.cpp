@@ -17,6 +17,7 @@
 #include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/im2col.hpp"
+#include "simd_arms.hpp"
 
 namespace ams::vmac {
 namespace {
@@ -216,8 +217,41 @@ std::vector<EngineCase> engine_cases() {
     EngineCase zeros{"zero_chunks", cfg(8.0, 8, 9), {}, {}, w_shape, x_shape};
     zeros.zero_chunks = true;
     cases.push_back(zeros);
+    // 5 x 7 = 35 output pixels: four full lane groups and a 3-pixel tail.
+    cases.push_back({"odd_pixels", cfg(8.0, 8, 9), {}, {}, w_shape, Shape{2, 7, 5, 7}});
+    // Reference scale 0.05 clips most chunk sums (the converter spans
+    // +/- 0.4 against sums of eight products in [-1, 1]).
+    EngineCase clipping{"reference_clipping", cfg(8.0, 8, 9), {}, {}, w_shape, x_shape};
+    clipping.options.reference_scale = 0.05;
+    cases.push_back(clipping);
     return cases;
 }
+
+/// How many first chunks of out-channel 0 (one per output pixel of image
+/// 0, stride 1, padding 1) clip a cell converter at `reference_scale`.
+std::size_t clipped_first_chunks(const Tensor& weight, const Tensor& input,
+                                 const VmacConfig& config, double reference_scale) {
+    AnalogOptions analog;
+    analog.reference_scale = reference_scale;
+    const VmacCell cell(config, analog);
+    const std::size_t k = weight.dim(2);
+    const ConvLowering low(
+        ConvGeometry{weight.dim(1), input.dim(2), input.dim(3), k, k, 1, 1, 1, 1});
+    std::vector<float> columns(low.columns_floats());
+    low.lower_batch(input.data(), 1, columns.data());
+    std::vector<double> w(config.nmult), x(config.nmult);
+    std::size_t clipped = 0;
+    for (std::size_t pixel = 0; pixel < low.out_spatial(); ++pixel) {
+        for (std::size_t i = 0; i < config.nmult; ++i) {
+            w[i] = weight.data()[i];
+            x[i] = columns[i * low.out_spatial() + pixel];
+        }
+        if (cell.quantizer().clips(cell.dot_ideal(w, x))) ++clipped;
+    }
+    return clipped;
+}
+
+using testing_support::on_each_arm;
 
 /// A chip with every static error family on: offsets, drift with a
 /// per-cell exponent spread, and IR drop that deepens across the cells.
@@ -247,6 +281,9 @@ TEST(VmacConvBackendTest, EngineMatchesPerChunkStreamForEveryBackend) {
             std::fill_n(x.data(), x.dim(2) * x.dim(3), 0.0f);
             std::fill_n(x.data() + x.dim(1) * x.dim(2) * x.dim(3), x.dim(2) * x.dim(3), 0.0f);
         }
+        if (std::string(c.name) == "reference_clipping") {
+            EXPECT_GT(clipped_first_chunks(w, x, c.config, c.options.reference_scale), 0u);
+        }
         for (BackendKind kind : all_backend_kinds()) {
             for (const bool varied : {false, true}) {
                 BackendOptions options = c.options;
@@ -255,17 +292,19 @@ TEST(VmacConvBackendTest, EngineMatchesPerChunkStreamForEveryBackend) {
                 SCOPED_TRACE(std::string(c.name) + " " + options.str());
                 const std::vector<float> reference =
                     per_chunk_reference(w, 1, 1, c.config, c.analog, options, 67, x, 2);
-                for (const std::size_t threads : {1u, 4u}) {
-                    for (const bool planned : {false, true}) {
-                        SCOPED_TRACE(std::to_string(threads) + (planned ? " threads, planned"
-                                                                        : " threads, forward"));
-                        const std::vector<float> engine = with_thread_count(threads, [&] {
-                            return engine_passes(w, 1, 1, c.config, c.analog, options, 67, x, 2,
-                                                 planned);
-                        });
-                        expect_bit_identical(reference, engine);
+                on_each_arm([&] {
+                    for (const std::size_t threads : {1u, 4u}) {
+                        for (const bool planned : {false, true}) {
+                            SCOPED_TRACE(std::to_string(threads) +
+                                         (planned ? " threads, planned" : " threads, forward"));
+                            const std::vector<float> engine = with_thread_count(threads, [&] {
+                                return engine_passes(w, 1, 1, c.config, c.analog, options, 67, x,
+                                                     2, planned);
+                            });
+                            expect_bit_identical(reference, engine);
+                        }
                     }
-                }
+                });
             }
         }
     }
